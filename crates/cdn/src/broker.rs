@@ -581,6 +581,16 @@ impl TenantHandle {
         agg
     }
 
+    /// Bandwidth reserved in the visible pool slots: the `used()` of
+    /// [`TenantHandle::outbound`], summed in one locked pass without
+    /// building the aggregate account.
+    pub fn used(&self) -> Bandwidth {
+        let broker = self.lock();
+        (self.slot_base..self.slot_base + self.slot_count)
+            .map(|s| broker.cdn.pool(s).used())
+            .sum()
+    }
+
     /// Whether this tenant could admit a stream of rate `bw` for a
     /// viewer in `region` (see [`CapacityBroker::can_serve_in`]).
     pub fn can_serve_in(&self, bw: Bandwidth, region: Region) -> bool {
@@ -991,5 +1001,30 @@ mod tests {
         let asia = TenantHandle::window(Arc::clone(&broker), t, Region::Asia.index());
         assert_eq!(asia.active_leases(), 0);
         assert!(asia.pool(0).used().is_zero());
+    }
+
+    #[test]
+    fn used_matches_the_aggregate_account() {
+        let broker = CapacityBroker::shared(per_region_config(1_000));
+        let half = TenantQuota {
+            floor_percent: 50,
+            ceiling_percent: 100,
+        };
+        let a = broker.lock().unwrap().register(half);
+        let b = broker.lock().unwrap().register(half);
+        let ha = TenantHandle::new(Arc::clone(&broker), a, true);
+        let hb = TenantHandle::new(Arc::clone(&broker), b, true);
+        let eu = TenantHandle::window(Arc::clone(&broker), a, Region::Europe.index());
+        assert!(ha.used().is_zero());
+        ha.serve(stream(0), Bandwidth::from_mbps(10), Region::Europe)
+            .expect("fits");
+        hb.serve(stream(1), Bandwidth::from_mbps(7), Region::Asia)
+            .expect("fits");
+        // Pool usage, like `outbound()`: every tenant's reservations count.
+        for handle in [&ha, &hb, &eu] {
+            assert_eq!(handle.used(), handle.outbound().used());
+        }
+        assert_eq!(ha.used(), Bandwidth::from_mbps(17));
+        assert_eq!(eu.used(), Bandwidth::from_mbps(10));
     }
 }

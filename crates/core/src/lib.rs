@@ -68,4 +68,4 @@ pub use protocol::{ControlMessage, ProtocolLog, ProtocolPhase};
 pub use session::{SessionBuilder, TelecastSession};
 pub use shard::{ShardStats, ShardedSession};
 pub use tenancy::TenantFleet;
-pub use viewer::{StreamSub, ViewerState, ViewerStatus};
+pub use viewer::{StreamSub, VecMap, ViewerState, ViewerStatus};

@@ -35,11 +35,30 @@ use crate::error::TelecastError;
 use crate::layers::LayerScheme;
 use crate::metrics::SessionMetrics;
 use crate::monitor::GscMonitor;
-use crate::viewer::{StreamSub, ViewerState, ViewerStatus};
+use crate::viewer::{StreamSub, VecMap, ViewerState, ViewerStatus, ViewerTable};
 use telecast_media::FrameNumber;
 
 /// Damping cap for subscription-chain propagation per structural change.
 const RESYNC_VISIT_CAP: usize = 8;
+
+/// One stream's re-derived placement in [`TelecastSession::resync_viewer`]:
+/// stream, parent, base delay, layer, effective delay, pushed down.
+type ResyncEntry = (StreamId, TreeParent, SimDuration, u64, SimDuration, bool);
+
+/// The reusable buffers of one [`TelecastSession::propagate_resync`] call.
+#[derive(Default)]
+struct ResyncFrame {
+    /// Viewers still to resync, in visit order.
+    queue: VecDeque<NodeId>,
+    /// Resyncs per viewer in this call, capped at [`RESYNC_VISIT_CAP`].
+    visits: FxHashMap<NodeId, usize>,
+    /// Per-stream results of the viewer being resynced.
+    finals: Vec<ResyncEntry>,
+    /// Layer scratch for the push-down pass.
+    layers: Vec<u64>,
+    /// Streams whose effective delay the last resync changed.
+    changed: Vec<StreamId>,
+}
 
 /// How many times one viewer's parked join may be retried before it is
 /// given up on. Bounds viewers whose rejection is *not* a pool-capacity
@@ -168,7 +187,7 @@ impl SessionBuilder {
             edge_nodes.insert(region, registry.add(NodeKind::CdnServer, region));
         }
         let mut viewer_pool = Vec::with_capacity(self.viewer_count);
-        let mut viewers = BTreeMap::new();
+        let mut viewers = ViewerTable::with_capacity(self.viewer_count);
         for _ in 0..self.viewer_count {
             let region = match self.home_region {
                 Some(region) => region,
@@ -179,7 +198,7 @@ impl SessionBuilder {
                 config.viewer_inbound.sample(&mut topology_rng),
                 config.viewer_outbound.sample(&mut topology_rng),
             );
-            viewers.insert(node, ViewerState::new(node, region, ports));
+            viewers.push(ViewerState::new(node, region, ports));
             viewer_pool.push(node);
         }
 
@@ -256,6 +275,7 @@ impl SessionBuilder {
             retry_parked: FxHashSet::default(),
             retry_counts: FxHashMap::default(),
             connected_count: 0,
+            resync_frames: Vec::new(),
             shard: None,
             config,
         }
@@ -334,7 +354,8 @@ pub struct TelecastSession {
     /// Per-edge outbound reservations of the Random baseline:
     /// (child, stream) → parent that holds the reservation.
     random_edge_parent: FxHashMap<(NodeId, StreamId), NodeId>,
-    viewers: BTreeMap<NodeId, ViewerState>,
+    /// Every viewer, indexed by node id (see [`ViewerTable`]).
+    viewers: ViewerTable,
     viewer_pool: Vec<NodeId>,
     stream_bw: FxHashMap<StreamId, Bandwidth>,
     stream_fps: FxHashMap<StreamId, u32>,
@@ -379,6 +400,8 @@ pub struct TelecastSession {
     /// Maintained count of viewers in [`ViewerStatus::Connected`] — the
     /// population the monitor samples without scanning the pool.
     connected_count: usize,
+    /// Spare [`ResyncFrame`]s, one per nesting level reached so far.
+    resync_frames: Vec<ResyncFrame>,
     /// Sharded-mode context, installed when this session is one shard of
     /// a [`crate::ShardedSession`]. `None` on the legacy single-loop
     /// path, which stays behaviourally untouched.
@@ -868,7 +891,7 @@ impl TelecastSession {
         };
         for (viewer, view, region) in seeds {
             let scope = self.scope_of(region);
-            self.propagate_resync(view, scope, vec![viewer]);
+            self.propagate_resync(view, scope, [viewer]);
         }
         // Keep ticking only while the session is otherwise active.
         if let Some(period) = self.config.adaptation_period {
@@ -1422,7 +1445,7 @@ impl TelecastSession {
             SessionEvent::MonitorSample => self.monitor_sample(),
             SessionEvent::AutoscaleTick => self.autoscale_tick(),
         }
-        let mbps = self.cdn.outbound().used().as_mbps_f64();
+        let mbps = self.cdn.used().as_mbps_f64();
         self.metrics.sample_cdn_usage(self.engine.now(), mbps);
         #[cfg(debug_assertions)]
         self.debug_check_leases(&event);
@@ -1433,7 +1456,8 @@ impl TelecastSession {
     /// exactly the subscribed bitrates.
     #[cfg(debug_assertions)]
     fn debug_check_leases(&self, event: &SessionEvent) {
-        for (id, v) in &self.viewers {
+        for v in self.viewers.values() {
+            let id = v.node;
             if v.status != ViewerStatus::Connected {
                 continue;
             }
@@ -2643,7 +2667,7 @@ impl TelecastSession {
                 }
             }
         }
-        self.propagate_resync(view, scope, vec![viewer]);
+        self.propagate_resync(view, scope, [viewer]);
     }
 
     /// Drops `stream` at `viewer` entirely (layer violation or failed
@@ -2687,46 +2711,66 @@ impl TelecastSession {
 
     /// Recomputes delays and layers for the seed viewers and propagates
     /// along the affected subtrees until quiescent.
-    fn propagate_resync(&mut self, view: ViewId, scope: usize, seeds: Vec<NodeId>) {
-        let mut queue: std::collections::VecDeque<NodeId> = seeds.into_iter().collect();
-        let mut visits: FxHashMap<NodeId, usize> = FxHashMap::default();
-        while let Some(w) = queue.pop_front() {
-            let count = visits.entry(w).or_insert(0);
+    ///
+    /// Runs on a [`ResyncFrame`] taken from the session's spare stack and
+    /// returned cleared, so the steady state allocates nothing. A nested
+    /// call (a drop inside [`Self::resync_viewer`] recovers victims whose
+    /// repositions resync again) takes a frame of its own: its visit
+    /// counts start from zero, exactly as a fresh map per call would.
+    fn propagate_resync(
+        &mut self,
+        view: ViewId,
+        scope: usize,
+        seeds: impl IntoIterator<Item = NodeId>,
+    ) {
+        let mut frame = self.resync_frames.pop().unwrap_or_default();
+        frame.queue.extend(seeds);
+        while let Some(w) = frame.queue.pop_front() {
+            let count = frame.visits.entry(w).or_insert(0);
             *count += 1;
             if *count > RESYNC_VISIT_CAP {
                 self.metrics.resync_cap_hits.incr();
                 continue;
             }
-            let changed_streams = self.resync_viewer(w, view, scope);
-            if changed_streams.is_empty() {
+            self.resync_viewer(w, view, scope, &mut frame);
+            if frame.changed.is_empty() {
                 continue;
             }
             self.metrics
                 .subscription_messages
-                .add(changed_streams.len() as u64);
+                .add(frame.changed.len() as u64);
             if let Some(g) = self.scopes[scope].group(view) {
-                for sid in &changed_streams {
+                for sid in &frame.changed {
                     if let Some(t) = g.tree(*sid) {
-                        queue.extend(t.children_of(w));
+                        frame.queue.extend(t.children_of(w));
                     }
                 }
             }
             // A change (e.g. a §VI CDN reroute) shifts this viewer's own
             // push-down baseline: revisit once more to reach a fixpoint.
-            queue.push_back(w);
+            frame.queue.push_back(w);
         }
+        frame.visits.clear();
+        self.resync_frames.push(frame);
     }
 
     /// Recomputes one viewer's delay layers from the trees' current
     /// structure (the source of truth for parents — a displacement may
-    /// have changed them); returns the streams whose effective delay
-    /// changed.
-    fn resync_viewer(&mut self, viewer: NodeId, view: ViewId, scope: usize) -> Vec<StreamId> {
+    /// have changed them); leaves the streams whose effective delay
+    /// changed in `frame.changed`.
+    fn resync_viewer(
+        &mut self,
+        viewer: NodeId,
+        view: ViewId,
+        scope: usize,
+        frame: &mut ResyncFrame,
+    ) {
+        frame.changed.clear();
         let Some(state) = self.viewers.get(&viewer) else {
-            return Vec::new();
+            return;
         };
         if state.status != ViewerStatus::Connected || state.view != Some(view) {
-            return Vec::new();
+            return;
         }
         // Pass 1: read current parents from the trees, recompute base
         // delays (CDN-parented streams keep their stored delay — victims
@@ -2734,8 +2778,8 @@ impl TelecastSession {
         // with effective delay = base; layering adjusts both below.
         let group = self.scopes[scope].group(view);
         let now = self.engine.now();
-        let mut finals: Vec<(StreamId, TreeParent, SimDuration, u64, SimDuration, bool)> =
-            Vec::with_capacity(state.subs.len());
+        let finals = &mut frame.finals;
+        finals.clear();
         for (&sid, sub) in &state.subs {
             let tree_parent = group
                 .and_then(|g| g.tree(sid))
@@ -2760,8 +2804,10 @@ impl TelecastSession {
         // Effective delays: layer push-down plus the residual delayed
         // receive that makes the dbuff bound exact (see process_join).
         if self.config.layering_enabled {
-            let mut layers: Vec<u64> = finals.iter().map(|&(_, _, _, l, _, _)| l).collect();
-            self.scheme.push_down(&mut layers);
+            let layers = &mut frame.layers;
+            layers.clear();
+            layers.extend(finals.iter().map(|&(_, _, _, l, _, _)| l));
+            self.scheme.push_down(layers);
             for (entry, &l) in finals.iter_mut().zip(layers.iter()) {
                 let natural = self.scheme.layer_of_delay(entry.2);
                 entry.3 = l;
@@ -2785,13 +2831,13 @@ impl TelecastSession {
 
         // Pass 2: apply; collect changes, stale leases, §VI CDN reroutes
         // for over-limit streams, and drops when the pool is full too.
-        let mut changed = Vec::new();
+        let changed = &mut frame.changed;
         let mut drops = Vec::new();
         let mut reroutes: Vec<StreamId> = Vec::new();
         let mut stale_leases = Vec::new();
         {
             let v = self.viewers.get_mut(&viewer).expect("viewer exists");
-            for (sid, parent, base, layer, e2e, pushed) in finals {
+            for &(sid, parent, base, layer, e2e, pushed) in finals.iter() {
                 let max_layer = self.scheme.max_layer();
                 if self.config.layering_enabled && layer > max_layer {
                     if matches!(parent, TreeParent::Viewer(_)) {
@@ -2855,7 +2901,6 @@ impl TelecastSession {
         for sid in drops {
             self.drop_stream(viewer, sid, view, scope);
         }
-        changed
     }
 
     // ------------------------------------------------------------------
@@ -3173,7 +3218,7 @@ trait DrainAll {
     fn drain_all(&mut self) -> Vec<Self::Item>;
 }
 
-impl<K: Ord + Copy, V> DrainAll for BTreeMap<K, V> {
+impl<K: Ord + Copy, V> DrainAll for VecMap<K, V> {
     type Item = (K, V);
     fn drain_all(&mut self) -> Vec<(K, V)> {
         std::mem::take(self).into_iter().collect()

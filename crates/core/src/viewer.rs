@@ -1,6 +1,8 @@
-//! Per-viewer session state.
+//! Per-viewer session state: the [`ViewerState`] record, the sorted
+//! [`VecMap`] its per-stream maps use, and the dense viewer table the
+//! session indexes by node id.
 
-use std::collections::BTreeMap;
+use std::ops::Index;
 
 use telecast_cdn::CdnLease;
 use telecast_media::{StreamId, ViewId};
@@ -54,15 +56,15 @@ pub struct ViewerState {
     /// Currently requested view, when connected.
     pub view: Option<ViewId>,
     /// Accepted stream subscriptions.
-    pub subs: BTreeMap<StreamId, StreamSub>,
+    pub subs: VecMap<StreamId, StreamSub>,
     /// Out-degree granted per stream by the outbound allocation.
-    pub out_degrees: BTreeMap<StreamId, u32>,
+    pub out_degrees: VecMap<StreamId, u32>,
     /// Temporary direct-CDN serves installed by the fast view-change path,
     /// released once the background join lands.
-    pub temp_leases: BTreeMap<StreamId, CdnLease>,
+    pub temp_leases: VecMap<StreamId, CdnLease>,
     /// CDN leases acquired mid-placement, moved into [`StreamSub::lease`]
     /// when the join commits (or released on rollback).
-    pub pending_leases: BTreeMap<StreamId, CdnLease>,
+    pub pending_leases: VecMap<StreamId, CdnLease>,
     /// The viewer's data-plane routing table (Table I).
     pub routing: SessionRoutingTable,
 }
@@ -76,10 +78,10 @@ impl ViewerState {
             ports,
             status: ViewerStatus::Idle,
             view: None,
-            subs: BTreeMap::new(),
-            out_degrees: BTreeMap::new(),
-            temp_leases: BTreeMap::new(),
-            pending_leases: BTreeMap::new(),
+            subs: VecMap::new(),
+            out_degrees: VecMap::new(),
+            temp_leases: VecMap::new(),
+            pending_leases: VecMap::new(),
             routing: SessionRoutingTable::new(),
         }
     }
@@ -107,19 +109,270 @@ impl ViewerState {
     }
 }
 
+/// A small ordered map backed by a `Vec` of `(key, value)` pairs kept
+/// sorted by key.
+///
+/// A viewer holds a handful of streams, so a binary search over one
+/// contiguous vector beats a tree of boxed nodes on lookups and on
+/// allocations. The API mirrors the subset of `BTreeMap` the session
+/// uses, and iteration runs in ascending key order like a `BTreeMap`'s.
+#[derive(Debug, Clone)]
+pub struct VecMap<K, V> {
+    entries: Vec<(K, V)>,
+}
+
+impl<K, V> Default for VecMap<K, V> {
+    fn default() -> Self {
+        VecMap {
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<K: Ord, V> VecMap<K, V> {
+    /// Creates an empty map (allocates nothing until the first insert).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn find(&self, key: &K) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| k.cmp(key))
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the map is empty.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The value under `key`.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.find(key).ok().map(|i| &self.entries[i].1)
+    }
+
+    /// The value under `key`, mutably.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.find(key).ok().map(|i| &mut self.entries[i].1)
+    }
+
+    /// Whether `key` is present.
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.find(key).is_ok()
+    }
+
+    /// Inserts `value` under `key`, returning the value it replaced.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        match self.find(&key) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+            Err(i) => {
+                self.entries.insert(i, (key, value));
+                None
+            }
+        }
+    }
+
+    /// Removes and returns the value under `key`.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.find(key).ok().map(|i| self.entries.remove(i).1)
+    }
+
+    /// Removes every entry, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// Keys in ascending order.
+    pub fn keys(&self) -> impl DoubleEndedIterator<Item = &K> + ExactSizeIterator {
+        self.entries.iter().map(|(k, _)| k)
+    }
+
+    /// Values in ascending key order.
+    pub fn values(&self) -> impl DoubleEndedIterator<Item = &V> + ExactSizeIterator {
+        self.entries.iter().map(|(_, v)| v)
+    }
+}
+
+impl<K: Ord, V> Index<&K> for VecMap<K, V> {
+    type Output = V;
+
+    /// # Panics
+    ///
+    /// Panics if `key` is absent.
+    fn index(&self, key: &K) -> &V {
+        self.get(key).expect("key not in VecMap")
+    }
+}
+
+impl<'a, K, V> IntoIterator for &'a VecMap<K, V> {
+    type Item = (&'a K, &'a V);
+    type IntoIter = std::iter::Map<std::slice::Iter<'a, (K, V)>, fn(&'a (K, V)) -> (&'a K, &'a V)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries.iter().map(|(k, v)| (k, v))
+    }
+}
+
+impl<K, V> IntoIterator for VecMap<K, V> {
+    type Item = (K, V);
+    type IntoIter = std::vec::IntoIter<(K, V)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries.into_iter()
+    }
+}
+
+/// The session's viewers in one dense slab, indexed by node id.
+///
+/// A session creates its viewers once, at build time, right after its
+/// producers, controllers and CDN edges, so their ids come from
+/// `NodeRegistry::add` as one contiguous run. Slot `i` holds the viewer
+/// with id `base + i`: a lookup is a subtraction and a bounds check, and
+/// iterating the slab visits viewers in ascending `NodeId` order, the
+/// order the determinism contract relies on.
+#[derive(Debug)]
+pub(crate) struct ViewerTable {
+    base: usize,
+    slots: Vec<ViewerState>,
+}
+
+impl ViewerTable {
+    /// An empty table with room for `capacity` viewers.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        ViewerTable {
+            base: 0,
+            slots: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Appends `state`; the first push fixes the base id.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `state.node` directly follows the last viewer's id.
+    pub(crate) fn push(&mut self, state: ViewerState) {
+        let index = state.node.index();
+        if self.slots.is_empty() {
+            self.base = index;
+        }
+        assert_eq!(
+            index,
+            self.base + self.slots.len(),
+            "viewer ids must be contiguous"
+        );
+        self.slots.push(state);
+    }
+
+    /// The viewer with id `node`, or `None` for any other node (a
+    /// producer, controller or CDN edge below the base, or an id past the
+    /// last viewer).
+    pub(crate) fn get(&self, node: &NodeId) -> Option<&ViewerState> {
+        node.index()
+            .checked_sub(self.base)
+            .and_then(|i| self.slots.get(i))
+    }
+
+    /// The viewer with id `node`, mutably.
+    pub(crate) fn get_mut(&mut self, node: &NodeId) -> Option<&mut ViewerState> {
+        node.index()
+            .checked_sub(self.base)
+            .and_then(|i| self.slots.get_mut(i))
+    }
+
+    /// Every viewer in ascending `NodeId` order.
+    pub(crate) fn values(&self) -> std::slice::Iter<'_, ViewerState> {
+        self.slots.iter()
+    }
+}
+
+impl Index<&NodeId> for ViewerTable {
+    type Output = ViewerState;
+
+    /// # Panics
+    ///
+    /// Panics if `node` is not a viewer of this table.
+    fn index(&self, node: &NodeId) -> &ViewerState {
+        self.get(node)
+            .unwrap_or_else(|| panic!("{node} is not a viewer"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use telecast_net::{Bandwidth, NodeKind, NodeRegistry};
 
-    fn viewer() -> ViewerState {
-        let mut reg = NodeRegistry::new();
-        let id = reg.add(NodeKind::Viewer, Region::Asia);
+    fn idle(id: NodeId) -> ViewerState {
         ViewerState::new(
             id,
             Region::Asia,
             NodePorts::new(Bandwidth::from_mbps(12), Bandwidth::from_mbps(6)),
         )
+    }
+
+    fn viewer() -> ViewerState {
+        let mut reg = NodeRegistry::new();
+        idle(reg.add(NodeKind::Viewer, Region::Asia))
+    }
+
+    #[test]
+    fn viewer_table_resolves_only_its_viewers_in_id_order() {
+        let mut reg = NodeRegistry::new();
+        let producer = reg.add(NodeKind::Producer, Region::NorthAmerica);
+        let gsc = reg.add(NodeKind::GlobalController, Region::NorthAmerica);
+        let lsc = reg.add(NodeKind::LocalController, Region::Asia);
+        let edge = reg.add(NodeKind::CdnServer, Region::Asia);
+        let ids: Vec<NodeId> = (0..4)
+            .map(|_| reg.add(NodeKind::Viewer, Region::Asia))
+            .collect();
+        let past_the_end = reg.add(NodeKind::Viewer, Region::Asia);
+        let mut table = ViewerTable::with_capacity(ids.len());
+        for &id in &ids {
+            table.push(idle(id));
+        }
+        let order: Vec<NodeId> = table.values().map(|v| v.node).collect();
+        assert_eq!(order, ids, "slab order is NodeId order");
+        for id in [producer, gsc, lsc, edge, past_the_end] {
+            assert!(table.get(&id).is_none(), "{id} resolved");
+        }
+        for &id in &ids {
+            assert_eq!(table[&id].node, id);
+            assert_eq!(table.get_mut(&id).map(|v| v.node), Some(id));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "viewer ids must be contiguous")]
+    fn viewer_table_rejects_a_non_contiguous_id() {
+        let mut reg = NodeRegistry::new();
+        let first = reg.add(NodeKind::Viewer, Region::Asia);
+        let _skipped = reg.add(NodeKind::Viewer, Region::Asia);
+        let third = reg.add(NodeKind::Viewer, Region::Asia);
+        let mut table = ViewerTable::with_capacity(2);
+        table.push(idle(first));
+        table.push(idle(third));
+    }
+
+    #[test]
+    fn vec_map_behaves_like_an_ordered_map() {
+        let mut map = VecMap::new();
+        for k in [5u32, 1, 3] {
+            assert_eq!(map.insert(k, k * 10), None);
+        }
+        assert_eq!(map.insert(3, 33), Some(30));
+        assert_eq!(map.keys().copied().collect::<Vec<_>>(), [1, 3, 5]);
+        assert_eq!(map.values().copied().collect::<Vec<_>>(), [10, 33, 50]);
+        assert_eq!(map[&5], 50);
+        assert!(map.contains_key(&1) && !map.contains_key(&2));
+        *map.get_mut(&1).unwrap() += 1;
+        assert_eq!(map.remove(&3), Some(33));
+        assert_eq!(map.remove(&3), None);
+        let pairs: Vec<(u32, u32)> = (&map).into_iter().map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(pairs, [(1, 11), (5, 50)]);
+        assert_eq!(map.into_iter().collect::<Vec<_>>(), [(1, 11), (5, 50)]);
     }
 
     #[test]

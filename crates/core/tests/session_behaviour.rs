@@ -2,11 +2,12 @@
 //! synchronization bounds, view changes, departures and victim recovery.
 
 use telecast::{
-    GroupScope, OutboundPolicy, PlacementStrategy, SessionConfig, TelecastSession, ViewerStatus,
+    GroupScope, OutboundPolicy, PlacementStrategy, SessionConfig, TelecastError, TelecastSession,
+    ViewerStatus,
 };
 use telecast_cdn::CdnConfig;
-use telecast_media::{ArrivalModel, ViewChoice, ViewId, ViewerWorkload};
-use telecast_net::{Bandwidth, BandwidthProfile};
+use telecast_media::{ArrivalModel, ProducerSite, SiteId, ViewChoice, ViewId, ViewerWorkload};
+use telecast_net::{Bandwidth, BandwidthProfile, NodeKind};
 use telecast_overlay::TreeParent;
 use telecast_sim::{SimDuration, SimRng};
 
@@ -411,6 +412,73 @@ fn api_errors_are_reported() {
     assert!(session.request_view_change(ids[1], ViewId::new(1)).is_err());
     // Depart before join.
     assert!(session.request_depart(ids[1]).is_err());
+}
+
+/// Only the session's own viewers resolve: producers, the GSC, LSCs and
+/// CDN edges share the registry but are not viewers, and neither is an
+/// id past the last viewer (here, one issued by a larger session).
+#[test]
+fn non_viewer_ids_are_unknown_viewers() {
+    let session = TelecastSession::builder(small_config()).viewers(5).build();
+    let mut non_viewers = 0;
+    for info in session.registry().iter() {
+        match info.kind {
+            NodeKind::Viewer => assert_eq!(session.viewer(info.id).unwrap().node, info.id),
+            _ => {
+                non_viewers += 1;
+                assert_eq!(
+                    session.viewer(info.id).unwrap_err(),
+                    TelecastError::UnknownViewer(info.id)
+                );
+            }
+        }
+    }
+    assert!(non_viewers > 0, "the registry holds the infrastructure too");
+    let larger = TelecastSession::builder(small_config()).viewers(6).build();
+    let beyond = *larger.viewer_ids().last().unwrap();
+    assert_eq!(
+        session.viewer(beyond).unwrap_err(),
+        TelecastError::UnknownViewer(beyond)
+    );
+}
+
+/// A four-view session on a tight CDN pool with the prune floor armed.
+/// Departures and view changes drop streams; recovering their victims
+/// repositions viewers, and each reposition resyncs again inside the
+/// resync that caused the drop (nine calls deep on this seed). The
+/// counters were recorded before the resync buffers were pooled. A
+/// nested resync that shared its caller's visit counts would move them.
+#[test]
+fn nested_resync_chains_keep_their_counters() {
+    let seed = 1;
+    let config = SessionConfig {
+        sites: vec![
+            ProducerSite::ring(SiteId::new(0), 4, 2_000, 10),
+            ProducerSite::ring(SiteId::new(1), 4, 2_000, 10),
+        ],
+        streams_per_local_view: 3,
+        ..SessionConfig::default()
+    }
+    .with_outbound(BandwidthProfile::uniform_mbps(2, 14))
+    .with_cdn(CdnConfig::default().with_outbound(Bandwidth::from_mbps(200)))
+    .with_prune_floor(4)
+    .with_seed(seed);
+    let mut session = TelecastSession::builder(config).viewers(150).build();
+    let catalog_len = session.catalog().len();
+    let workload = ViewerWorkload::builder(150, catalog_len)
+        .arrivals(ArrivalModel::Staggered {
+            gap: SimDuration::from_millis(200),
+        })
+        .view_changes(1.0, SimDuration::from_secs(60))
+        .departures(0.3, SimDuration::from_secs(60))
+        .build(&mut SimRng::seed_from_u64(seed));
+    session.run_workload(&workload);
+    let m = session.metrics();
+    assert_eq!(m.subscription_messages.value(), 4_773);
+    assert_eq!(m.resync_cap_hits.value(), 961);
+    assert_eq!(m.victims_repositioned.value(), 175);
+    assert_eq!(m.layer_drops.value(), 57);
+    assert_eq!(m.fragments_merged.value(), 12, "the prune pass ran");
 }
 
 /// Churn pool conservation: at every sampled instant of a churn run the
