@@ -35,13 +35,12 @@
 //! persist across arbitrations (capped at one quantum) so a tenant
 //! starved this round is first in line for the next one.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use telecast_media::StreamId;
 use telecast_net::{Bandwidth, CapacityAccount, Region};
-use telecast_sim::{SimDuration, SimTime};
+use telecast_sim::{FxHashMap, SimDuration, SimTime};
 
 use crate::{Cdn, CdnConfig, CdnLease, CdnRejectedError, ProvisionedMeter};
 
@@ -160,7 +159,7 @@ pub struct CapacityBroker {
     /// Which tenant holds each live lease (and in which slot, at what
     /// rate) — the map that routes releases back to the right quota
     /// account, including leases released by a foreign shard.
-    lease_owner: HashMap<CdnLease, (usize, usize, Bandwidth)>,
+    lease_owner: FxHashMap<CdnLease, (usize, usize, Bandwidth)>,
     /// Virtual time up to which tenant usage integrals have accrued.
     usage_accrued_to: SimTime,
 }
@@ -171,7 +170,7 @@ impl CapacityBroker {
         CapacityBroker {
             cdn: Cdn::new(config),
             tenants: Vec::new(),
-            lease_owner: HashMap::new(),
+            lease_owner: FxHashMap::default(),
             usage_accrued_to: SimTime::ZERO,
         }
     }

@@ -48,6 +48,7 @@ pub use server::{EdgeServer, ServerId};
 
 use std::error::Error;
 use std::fmt;
+use std::num::NonZeroU64;
 use telecast_sim::FxHashMap;
 
 use serde::{Deserialize, Serialize};
@@ -184,9 +185,12 @@ impl Error for CdnRejectedError {}
 
 /// Handle to an active CDN-served stream; release it to return the
 /// bandwidth to the pool. Ordered by issue sequence so holders of many
-/// leases (the [`broker`]) can walk them deterministically.
+/// leases (the [`broker`]) can walk them deterministically. Ids start at
+/// 1, so `Option<CdnLease>` is as small as the lease itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct CdnLease(u64);
+pub struct CdnLease(NonZeroU64);
+
+const _: () = assert!(std::mem::size_of::<Option<CdnLease>>() == 8);
 
 /// The simulated CDN: bounded (but elastic) outbound pool(s) + per-region
 /// edge servers.
@@ -222,7 +226,7 @@ impl Cdn {
             edges: Vec::new(),
             region_active: vec![Vec::new(); Region::ALL.len()],
             leases: FxHashMap::default(),
-            next_lease: 0,
+            next_lease: 1,
             meter: TrafficMeter::new(CostModel::per_gb(config.dollars_per_gb)),
             provisioned: slots
                 .iter()
@@ -380,7 +384,7 @@ impl Cdn {
             .min_by_key(|&id| (self.edges[id.index()].load(), id))
             .expect("every region keeps at least one active edge");
         self.edges[id.index()].add_session(stream, bw);
-        let lease = CdnLease(self.next_lease);
+        let lease = CdnLease(NonZeroU64::new(self.next_lease).expect("lease ids start at 1"));
         self.next_lease += 1;
         self.leases.insert(lease, (stream, bw, id, slot));
         Ok(lease)

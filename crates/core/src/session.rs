@@ -35,23 +35,51 @@ use crate::error::TelecastError;
 use crate::layers::LayerScheme;
 use crate::metrics::SessionMetrics;
 use crate::monitor::GscMonitor;
-use crate::viewer::{StreamSub, VecMap, ViewerState, ViewerStatus, ViewerTable};
+use crate::viewer::{epoch_key, StreamSub, VecMap, ViewerState, ViewerStatus, ViewerTable};
 use telecast_media::FrameNumber;
 
 /// Damping cap for subscription-chain propagation per structural change.
-const RESYNC_VISIT_CAP: usize = 8;
+const RESYNC_VISIT_CAP: u32 = 8;
 
-/// One stream's re-derived placement in [`TelecastSession::resync_viewer`]:
-/// stream, parent, base delay, layer, effective delay, pushed down.
-type ResyncEntry = (StreamId, TreeParent, SimDuration, u64, SimDuration, bool);
+/// One stream's re-derived placement in [`TelecastSession::resync_viewer`].
+struct ResyncEntry {
+    stream: StreamId,
+    parent: TreeParent,
+    /// The one-way leg from a viewer parent (zero under the CDN).
+    leg: SimDuration,
+    /// Delay along the overlay path, before delayed receive.
+    base: SimDuration,
+    /// Eq. 1 layer of `base`.
+    natural: u64,
+    /// Layer after push-down and residual alignment.
+    layer: u64,
+    /// Effective delay after layer positioning.
+    e2e: SimDuration,
+    pushed_down: bool,
+}
+
+/// One viewer's record within a [`ResyncFrame`].
+#[derive(Default)]
+struct Visit {
+    /// Pops of this viewer so far, capped at [`RESYNC_VISIT_CAP`].
+    count: u32,
+    /// The frame's [`ResyncFrame::generation`] in which the viewer last
+    /// *settled*: its resync made no §VI reroute and no drop, so a re-run
+    /// would read the same inputs and change nothing. Zero (never a
+    /// generation) once a parent changes one of the viewer's streams.
+    settled_in: u32,
+}
 
 /// The reusable buffers of one [`TelecastSession::propagate_resync`] call.
 #[derive(Default)]
 struct ResyncFrame {
     /// Viewers still to resync, in visit order.
     queue: VecDeque<NodeId>,
-    /// Resyncs per viewer in this call, capped at [`RESYNC_VISIT_CAP`].
-    visits: FxHashMap<NodeId, usize>,
+    /// Per-viewer visit counts and settled marks for this call.
+    visits: FxHashMap<NodeId, Visit>,
+    /// Starts at 1 and moves on at every drop in the call: a drop's
+    /// victim recovery mutates trees, which outdates every settled mark.
+    generation: u32,
     /// Per-stream results of the viewer being resynced.
     finals: Vec<ResyncEntry>,
     /// Layer scratch for the push-down pass.
@@ -1452,12 +1480,27 @@ impl TelecastSession {
     }
 
     /// Debug-build invariants: every CDN-parented subscription of a
-    /// connected viewer holds a lease, and inbound reservations cover
-    /// exactly the subscribed bitrates.
+    /// connected viewer holds a lease, inbound reservations cover
+    /// exactly the subscribed bitrates, and every leg cached in the
+    /// current drift epoch equals the delay model's.
     #[cfg(debug_assertions)]
     fn debug_check_leases(&self, event: &SessionEvent) {
+        let now = self.engine.now();
+        let epoch = epoch_key(now);
         for v in self.viewers.values() {
             let id = v.node;
+            for (sid, sub) in &v.subs {
+                let Some(cache) = sub.leg.filter(|c| Some(c.epoch) == epoch) else {
+                    continue;
+                };
+                let leg = self.delays.one_way(now, cache.parent, id);
+                if leg.as_micros() != u64::from(cache.leg_us) {
+                    panic!(
+                        "stale leg cache for viewer {id} stream {sid}: {}us cached vs {leg:?} after {event:?}",
+                        cache.leg_us
+                    );
+                }
+            }
             if v.status != ViewerStatus::Connected {
                 continue;
             }
@@ -1647,6 +1690,7 @@ impl TelecastSession {
                     layer,
                     pushed_down: false,
                     bitrate_kbps: s.bitrate_kbps,
+                    leg: None,
                 },
             ));
         }
@@ -1921,6 +1965,7 @@ impl TelecastSession {
                             layer: 0,
                             pushed_down: false,
                             bitrate_kbps: bw.as_kbps(),
+                            leg: None,
                         },
                     );
                     accepted += 1;
@@ -2717,6 +2762,10 @@ impl TelecastSession {
     /// call (a drop inside [`Self::resync_viewer`] recovers victims whose
     /// repositions resync again) takes a frame of its own: its visit
     /// counts start from zero, exactly as a fresh map per call would.
+    ///
+    /// A settled viewer (see [`Visit::settled_in`]) still counts its
+    /// visit against [`RESYNC_VISIT_CAP`]; only the resync itself is
+    /// skipped, so the counters match a run that repeats it.
     fn propagate_resync(
         &mut self,
         view: ViewId,
@@ -2724,15 +2773,27 @@ impl TelecastSession {
         seeds: impl IntoIterator<Item = NodeId>,
     ) {
         let mut frame = self.resync_frames.pop().unwrap_or_default();
+        frame.generation = 1;
         frame.queue.extend(seeds);
         while let Some(w) = frame.queue.pop_front() {
-            let count = frame.visits.entry(w).or_insert(0);
-            *count += 1;
-            if *count > RESYNC_VISIT_CAP {
+            let visit = frame.visits.entry(w).or_default();
+            visit.count += 1;
+            if visit.count > RESYNC_VISIT_CAP {
                 self.metrics.resync_cap_hits.incr();
                 continue;
             }
-            self.resync_viewer(w, view, scope, &mut frame);
+            if visit.settled_in == frame.generation {
+                continue;
+            }
+            let drops = self.metrics.layer_drops.value();
+            let settled = self.resync_viewer(w, view, scope, &mut frame);
+            if self.metrics.layer_drops.value() != drops {
+                frame.generation += 1;
+            } else if settled {
+                if let Some(visit) = frame.visits.get_mut(&w) {
+                    visit.settled_in = frame.generation;
+                }
+            }
             if frame.changed.is_empty() {
                 continue;
             }
@@ -2742,7 +2803,12 @@ impl TelecastSession {
             if let Some(g) = self.scopes[scope].group(view) {
                 for sid in &frame.changed {
                     if let Some(t) = g.tree(*sid) {
-                        frame.queue.extend(t.children_of(w));
+                        for child in t.children_of(w) {
+                            frame.queue.push_back(child);
+                            if let Some(visit) = frame.visits.get_mut(&child) {
+                                visit.settled_in = 0;
+                            }
+                        }
                     }
                 }
             }
@@ -2757,36 +2823,41 @@ impl TelecastSession {
     /// Recomputes one viewer's delay layers from the trees' current
     /// structure (the source of truth for parents — a displacement may
     /// have changed them); leaves the streams whose effective delay
-    /// changed in `frame.changed`.
+    /// changed in `frame.changed`. Returns whether the viewer settled:
+    /// no §VI reroute and no drop, so with unchanged parents a re-run in
+    /// the same frame would change nothing.
     fn resync_viewer(
         &mut self,
         viewer: NodeId,
         view: ViewId,
         scope: usize,
         frame: &mut ResyncFrame,
-    ) {
+    ) -> bool {
         frame.changed.clear();
         let Some(state) = self.viewers.get(&viewer) else {
-            return;
+            return true;
         };
         if state.status != ViewerStatus::Connected || state.view != Some(view) {
-            return;
+            return true;
         }
         // Pass 1: read current parents from the trees, recompute base
         // delays (CDN-parented streams keep their stored delay — victims
         // stay at their layer). Each entry starts at its natural layer
-        // with effective delay = base; layering adjusts both below.
+        // with effective delay = base; layering adjusts both below. A
+        // viewer parent's leg comes from the subscription's cache while
+        // the parent and the drift epoch match.
         let group = self.scopes[scope].group(view);
         let now = self.engine.now();
+        let epoch = epoch_key(now);
         let finals = &mut frame.finals;
         finals.clear();
         for (&sid, sub) in &state.subs {
-            let tree_parent = group
+            let parent = group
                 .and_then(|g| g.tree(sid))
                 .and_then(|t| t.parent_of(viewer))
                 .unwrap_or(sub.parent);
-            let (base, parent) = match tree_parent {
-                TreeParent::Cdn => (sub.base_e2e, tree_parent),
+            let (base, leg) = match parent {
+                TreeParent::Cdn => (sub.base_e2e, SimDuration::ZERO),
                 TreeParent::Viewer(p) => {
                     let pe2e = self
                         .viewers
@@ -2794,51 +2865,72 @@ impl TelecastSession {
                         .and_then(|pv| pv.subs.get(&sid))
                         .map(|ps| ps.e2e)
                         .unwrap_or(self.scheme.delta());
-                    let d = pe2e + self.delays.one_way(now, p, viewer) + self.config.hop_processing;
-                    (d, tree_parent)
+                    let leg = sub
+                        .cached_leg(p, epoch)
+                        .unwrap_or_else(|| self.delays.one_way(now, p, viewer));
+                    (pe2e + leg + self.config.hop_processing, leg)
                 }
             };
-            let layer = self.scheme.layer_of_delay(base);
-            finals.push((sid, parent, base, layer, base, false));
+            let natural = self.scheme.layer_of_delay(base);
+            finals.push(ResyncEntry {
+                stream: sid,
+                parent,
+                leg,
+                base,
+                natural,
+                layer: natural,
+                e2e: base,
+                pushed_down: false,
+            });
         }
         // Effective delays: layer push-down plus the residual delayed
         // receive that makes the dbuff bound exact (see process_join).
         if self.config.layering_enabled {
             let layers = &mut frame.layers;
             layers.clear();
-            layers.extend(finals.iter().map(|&(_, _, _, l, _, _)| l));
+            layers.extend(finals.iter().map(|e| e.natural));
             self.scheme.push_down(layers);
             for (entry, &l) in finals.iter_mut().zip(layers.iter()) {
-                let natural = self.scheme.layer_of_delay(entry.2);
-                entry.3 = l;
-                entry.5 = l > natural;
-                entry.4 = if entry.5 {
-                    self.scheme.delay_at_top_of(l)
-                } else {
-                    entry.2
-                };
+                entry.layer = l;
+                entry.pushed_down = l > entry.natural;
+                if entry.pushed_down {
+                    entry.e2e = self.scheme.delay_at_top_of(l);
+                }
             }
-            if let Some(deepest) = finals.iter().map(|&(_, _, _, _, e, _)| e).max() {
+            if let Some(deepest) = finals.iter().map(|e| e.e2e).max() {
                 for entry in finals.iter_mut() {
-                    if deepest - entry.4 > self.config.dbuff {
-                        entry.4 = deepest - self.config.dbuff;
-                        entry.3 = self.scheme.layer_of_delay(entry.4);
-                        entry.5 = true;
+                    if deepest - entry.e2e > self.config.dbuff {
+                        entry.e2e = deepest - self.config.dbuff;
+                        entry.layer = self.scheme.layer_of_delay(entry.e2e);
+                        entry.pushed_down = true;
                     }
                 }
             }
         }
 
-        // Pass 2: apply; collect changes, stale leases, §VI CDN reroutes
-        // for over-limit streams, and drops when the pool is full too.
+        // Pass 2: apply, walking the subscriptions in lockstep with
+        // `finals` (both in stream order); collect changes, stale leases,
+        // §VI CDN reroutes for over-limit streams, and drops when the
+        // pool is full too.
         let changed = &mut frame.changed;
         let mut drops = Vec::new();
         let mut reroutes: Vec<StreamId> = Vec::new();
         let mut stale_leases = Vec::new();
         {
+            let max_layer = self.scheme.max_layer();
             let v = self.viewers.get_mut(&viewer).expect("viewer exists");
-            for &(sid, parent, base, layer, e2e, pushed) in finals.iter() {
-                let max_layer = self.scheme.max_layer();
+            debug_assert_eq!(finals.len(), v.subs.len());
+            for (entry, sub) in finals.iter().zip(v.subs.values_mut()) {
+                let &ResyncEntry {
+                    stream: sid,
+                    parent,
+                    leg,
+                    base,
+                    layer,
+                    e2e,
+                    pushed_down,
+                    ..
+                } = entry;
                 if self.config.layering_enabled && layer > max_layer {
                     if matches!(parent, TreeParent::Viewer(_)) {
                         reroutes.push(sid);
@@ -2847,7 +2939,6 @@ impl TelecastSession {
                     }
                     continue;
                 }
-                let sub = v.subs.get_mut(&sid).expect("planned sub exists");
                 if sub.parent != parent {
                     // Displaced off the CDN root into a viewer's slot: the
                     // lease is no longer needed.
@@ -2856,13 +2947,16 @@ impl TelecastSession {
                     }
                     sub.parent = parent;
                 }
+                if let TreeParent::Viewer(p) = parent {
+                    sub.cache_leg(p, epoch, leg);
+                }
                 if sub.e2e != e2e || sub.layer != layer {
                     changed.push(sid);
                 }
                 sub.base_e2e = base;
                 sub.e2e = e2e;
                 sub.layer = layer;
-                sub.pushed_down = pushed;
+                sub.pushed_down = pushed_down;
             }
         }
         for lease in stale_leases {
@@ -2871,6 +2965,7 @@ impl TelecastSession {
         // §VI: "if the parent is another viewer, then LSC first tries to
         // provision the stream from the CDN" — only drop when the pool is
         // exhausted too.
+        let settled = reroutes.is_empty() && drops.is_empty();
         for sid in reroutes {
             let bw = self.stream_bw[&sid];
             let region = self.viewers[&viewer].region;
@@ -2901,6 +2996,7 @@ impl TelecastSession {
         for sid in drops {
             self.drop_stream(viewer, sid, view, scope);
         }
+        settled
     }
 
     // ------------------------------------------------------------------

@@ -2,13 +2,14 @@
 //! [`VecMap`] its per-stream maps use, and the dense viewer table the
 //! session indexes by node id.
 
+use std::num::NonZeroU32;
 use std::ops::Index;
 
 use telecast_cdn::CdnLease;
 use telecast_media::{StreamId, ViewId};
-use telecast_net::{NodeId, NodePorts, Region};
+use telecast_net::{epoch_index, NodeId, NodePorts, Region};
 use telecast_overlay::{SessionRoutingTable, TreeParent};
-use telecast_sim::SimDuration;
+use telecast_sim::{SimDuration, SimTime};
 
 /// Lifecycle of a viewer within the session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,6 +41,64 @@ pub struct StreamSub {
     pub pushed_down: bool,
     /// The stream's bitrate in Kbps (cached for release accounting).
     pub bitrate_kbps: u64,
+    /// The viewer-parent leg the last resync measured, if any.
+    pub(crate) leg: Option<LegCache>,
+}
+
+// The leg cache rides in the padding the lease niche freed: a
+// subscription still fits one 64-byte cache line.
+const _: () = assert!(std::mem::size_of::<Option<LegCache>>() == 12);
+const _: () = assert!(std::mem::size_of::<StreamSub>() <= 64);
+
+impl StreamSub {
+    /// The cached one-way leg from `parent`, when it was measured from
+    /// that parent within drift epoch `epoch` (see [`EpochKey`]).
+    pub(crate) fn cached_leg(
+        &self,
+        parent: NodeId,
+        epoch: Option<EpochKey>,
+    ) -> Option<SimDuration> {
+        let cache = self.leg?;
+        (cache.parent == parent && Some(cache.epoch) == epoch)
+            .then(|| SimDuration::from_micros(u64::from(cache.leg_us)))
+    }
+
+    /// Remembers `leg` as the one-way delay from `parent` during `epoch`.
+    /// An epoch or leg past the cache's 32-bit range is simply not
+    /// cached.
+    pub(crate) fn cache_leg(&mut self, parent: NodeId, epoch: Option<EpochKey>, leg: SimDuration) {
+        self.leg = epoch
+            .zip(u32::try_from(leg.as_micros()).ok())
+            .map(|(epoch, leg_us)| LegCache {
+                parent,
+                epoch,
+                leg_us,
+            });
+    }
+}
+
+/// A drift epoch as the leg cache keys it: `epoch_index + 1`, nonzero
+/// so that `Option<LegCache>` needs no extra tag.
+pub(crate) type EpochKey = NonZeroU32;
+
+/// The epoch key of `at`, or `None` past the 32-bit range.
+pub(crate) fn epoch_key(at: SimTime) -> Option<EpochKey> {
+    u32::try_from(epoch_index(at) + 1)
+        .ok()
+        .and_then(NonZeroU32::new)
+}
+
+/// One subscription's last viewer-parent leg, valid while the tree
+/// parent and the drift epoch stay the same: delays depend on time only
+/// through the epoch index (see `telecast_net::DelayModel`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LegCache {
+    /// The parent the leg was measured from.
+    pub(crate) parent: NodeId,
+    /// The drift epoch it was measured in.
+    pub(crate) epoch: EpochKey,
+    /// The one-way delay in µs.
+    pub(crate) leg_us: u32,
 }
 
 /// All session state of one viewer gateway.
@@ -193,6 +252,11 @@ impl<K: Ord, V> VecMap<K, V> {
     /// Values in ascending key order.
     pub fn values(&self) -> impl DoubleEndedIterator<Item = &V> + ExactSizeIterator {
         self.entries.iter().map(|(_, v)| v)
+    }
+
+    /// Values in ascending key order, mutably.
+    pub fn values_mut(&mut self) -> impl DoubleEndedIterator<Item = &mut V> + ExactSizeIterator {
+        self.entries.iter_mut().map(|(_, v)| v)
     }
 }
 
@@ -368,11 +432,45 @@ mod tests {
         assert_eq!(map[&5], 50);
         assert!(map.contains_key(&1) && !map.contains_key(&2));
         *map.get_mut(&1).unwrap() += 1;
+        for v in map.values_mut().rev().take(1) {
+            *v += 5;
+        }
+        assert_eq!(map[&5], 55);
         assert_eq!(map.remove(&3), Some(33));
         assert_eq!(map.remove(&3), None);
         let pairs: Vec<(u32, u32)> = (&map).into_iter().map(|(&k, &v)| (k, v)).collect();
-        assert_eq!(pairs, [(1, 11), (5, 50)]);
-        assert_eq!(map.into_iter().collect::<Vec<_>>(), [(1, 11), (5, 50)]);
+        assert_eq!(pairs, [(1, 11), (5, 55)]);
+        assert_eq!(map.into_iter().collect::<Vec<_>>(), [(1, 11), (5, 55)]);
+    }
+
+    #[test]
+    fn leg_cache_hits_only_its_parent_within_its_epoch() {
+        let mut reg = NodeRegistry::new();
+        let a = reg.add(NodeKind::Viewer, Region::Asia);
+        let b = reg.add(NodeKind::Viewer, Region::Asia);
+        let mut sub = StreamSub {
+            parent: TreeParent::Viewer(a),
+            lease: None,
+            base_e2e: SimDuration::from_secs(60),
+            e2e: SimDuration::from_secs(60),
+            layer: 0,
+            pushed_down: false,
+            bitrate_kbps: 2_000,
+            leg: None,
+        };
+        let first = epoch_key(SimTime::ZERO);
+        assert_eq!(first, epoch_key(SimTime::from_secs(15 * 60 - 1)));
+        let second = epoch_key(SimTime::from_secs(15 * 60));
+        assert_ne!(first, second);
+        let leg = SimDuration::from_millis(40);
+        assert_eq!(sub.cached_leg(a, first), None);
+        sub.cache_leg(a, first, leg);
+        assert_eq!(sub.cached_leg(a, first), Some(leg));
+        assert_eq!(sub.cached_leg(b, first), None);
+        assert_eq!(sub.cached_leg(a, second), None);
+        // A leg past the 32-bit µs range is left uncached.
+        sub.cache_leg(a, first, SimDuration::from_secs(5_000));
+        assert_eq!(sub.cached_leg(a, first), None);
     }
 
     #[test]
@@ -400,6 +498,7 @@ mod tests {
                     layer,
                     pushed_down: false,
                     bitrate_kbps: 2_000,
+                    leg: None,
                 },
             );
         }

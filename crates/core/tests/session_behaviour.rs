@@ -2,14 +2,16 @@
 //! synchronization bounds, view changes, departures and victim recovery.
 
 use telecast::{
-    GroupScope, OutboundPolicy, PlacementStrategy, SessionConfig, TelecastError, TelecastSession,
-    ViewerStatus,
+    DelayModelChoice, GroupScope, OutboundPolicy, PlacementStrategy, SessionConfig, TelecastError,
+    TelecastSession, ViewerStatus,
 };
 use telecast_cdn::CdnConfig;
-use telecast_media::{ArrivalModel, ProducerSite, SiteId, ViewChoice, ViewId, ViewerWorkload};
+use telecast_media::{
+    ArrivalModel, ChurnSpec, ProducerSite, SiteId, ViewChoice, ViewId, ViewerWorkload,
+};
 use telecast_net::{Bandwidth, BandwidthProfile, NodeKind};
 use telecast_overlay::TreeParent;
-use telecast_sim::{SimDuration, SimRng};
+use telecast_sim::{SimDuration, SimRng, SimTime};
 
 fn small_config() -> SessionConfig {
     SessionConfig::default().with_seed(7)
@@ -442,15 +444,10 @@ fn non_viewer_ids_are_unknown_viewers() {
     );
 }
 
-/// A four-view session on a tight CDN pool with the prune floor armed.
-/// Departures and view changes drop streams; recovering their victims
-/// repositions viewers, and each reposition resyncs again inside the
-/// resync that caused the drop (nine calls deep on this seed). The
-/// counters were recorded before the resync buffers were pooled. A
-/// nested resync that shared its caller's visit counts would move them.
-#[test]
-fn nested_resync_chains_keep_their_counters() {
-    let seed = 1;
+/// Runs `n` viewers through a four-view session on a tight CDN pool
+/// with the prune floor armed: staggered arrivals, then view changes and
+/// departures that drop streams and reposition their victims.
+fn four_view_churn(n: usize, seed: u64) -> TelecastSession {
     let config = SessionConfig {
         sites: vec![
             ProducerSite::ring(SiteId::new(0), 4, 2_000, 10),
@@ -463,9 +460,9 @@ fn nested_resync_chains_keep_their_counters() {
     .with_cdn(CdnConfig::default().with_outbound(Bandwidth::from_mbps(200)))
     .with_prune_floor(4)
     .with_seed(seed);
-    let mut session = TelecastSession::builder(config).viewers(150).build();
+    let mut session = TelecastSession::builder(config).viewers(n).build();
     let catalog_len = session.catalog().len();
-    let workload = ViewerWorkload::builder(150, catalog_len)
+    let workload = ViewerWorkload::builder(n, catalog_len)
         .arrivals(ArrivalModel::Staggered {
             gap: SimDuration::from_millis(200),
         })
@@ -473,6 +470,17 @@ fn nested_resync_chains_keep_their_counters() {
         .departures(0.3, SimDuration::from_secs(60))
         .build(&mut SimRng::seed_from_u64(seed));
     session.run_workload(&workload);
+    session
+}
+
+/// The four-view churn at 150 viewers. Recovering dropped streams'
+/// victims repositions viewers, and each reposition resyncs again inside
+/// the resync that caused the drop (nine calls deep on this seed). The
+/// counters were recorded before the resync buffers were pooled. A
+/// nested resync that shared its caller's visit counts would move them.
+#[test]
+fn nested_resync_chains_keep_their_counters() {
+    let session = four_view_churn(150, 1);
     let m = session.metrics();
     assert_eq!(m.subscription_messages.value(), 4_773);
     assert_eq!(m.resync_cap_hits.value(), 961);
@@ -695,4 +703,145 @@ fn per_region_pools_scale_and_conserve_regionally() {
         totals.len() > 1,
         "regional pools all moved in lockstep: {totals:?}"
     );
+}
+
+/// The counters a resync-heavy run ends with.
+#[derive(Debug, PartialEq, Eq)]
+struct ResyncCounters {
+    subscription_messages: u64,
+    resync_cap_hits: u64,
+    layer_drops: u64,
+    victims_repositioned: u64,
+}
+
+fn resync_counters(session: &TelecastSession) -> ResyncCounters {
+    let m = session.metrics();
+    ResyncCounters {
+        subscription_messages: m.subscription_messages.value(),
+        resync_cap_hits: m.resync_cap_hits.value(),
+        layer_drops: m.layer_drops.value(),
+        victims_repositioned: m.victims_repositioned.value(),
+    }
+}
+
+/// One parent changing several streams of the same child: the four-view
+/// churn at 32 viewers repositions victims whose resync moves their
+/// `e2e` on up to six streams at once, and a child fed by such a viewer
+/// on several of those streams is enqueued once per stream within one
+/// subscription chain (viewer 13 of this seed, three to five times
+/// under one parent). Its first visit re-derives its layers and the
+/// rest find it settled. The counters and the child's final layers
+/// were recorded before the chain skipped settled viewers.
+#[test]
+fn a_child_enqueued_under_several_streams_keeps_its_counters() {
+    let session = four_view_churn(32, 1);
+    assert_eq!(
+        resync_counters(&session),
+        ResyncCounters {
+            subscription_messages: 644,
+            resync_cap_hits: 17,
+            layer_drops: 0,
+            victims_repositioned: 25,
+        }
+    );
+    let child = session.viewer(session.viewer_ids()[13]).unwrap();
+    assert_eq!(child.layers().collect::<Vec<_>>(), [3, 2, 2, 3, 2, 2]);
+    let parents: Vec<TreeParent> = child.subs.values().map(|s| s.parent).collect();
+    assert!(
+        matches!(parents[0], TreeParent::Viewer(_)) && parents.iter().all(|&p| p == parents[0]),
+        "one viewer feeds every stream of the child: {parents:?}"
+    );
+}
+
+/// `n` viewers churning for 50 simulated minutes with the §VI adaptation
+/// loop armed, on the given delay backend. The run crosses three
+/// 15-minute drift epochs, so every cached parent leg goes stale three
+/// times under live subscription chains. Returns the counters and the
+/// sum of the final layer snapshot.
+fn churn_across_epochs(n: usize, seed: u64, delays: DelayModelChoice) -> (ResyncCounters, u64) {
+    let config = SessionConfig {
+        sites: vec![
+            ProducerSite::ring(SiteId::new(0), 6, 2_000, 10),
+            ProducerSite::ring(SiteId::new(1), 6, 2_000, 10),
+        ],
+        streams_per_local_view: 3,
+        adaptation_period: Some(SimDuration::from_secs(60)),
+        ..SessionConfig::default()
+    }
+    .with_outbound(BandwidthProfile::uniform_mbps(2, 14))
+    .with_cdn(CdnConfig::default().with_outbound(Bandwidth::from_mbps(3 * n as u64)))
+    .with_prune_floor(6)
+    .with_delay_model(delays)
+    .with_seed(seed);
+    let mut session = TelecastSession::builder(config).viewers(n).build();
+    let horizon = SimTime::from_secs(50 * 60);
+    session.start_churn(ChurnSpec::steady_state(2 * n / 3, 0.1), horizon, n / 2);
+    session.run_until(horizon);
+    assert!(
+        session.now() >= SimTime::from_secs(45 * 60),
+        "three epoch boundaries crossed"
+    );
+    let layer_sum = session.layer_snapshot().iter().sum();
+    (resync_counters(&session), layer_sum)
+}
+
+/// Exact counters across drift-epoch boundaries on both delay backends,
+/// recorded before subscriptions cached their parent legs. A cache that
+/// outlived its epoch would move them (82,662 messages would become
+/// 70,361 on the first row).
+#[test]
+fn churn_across_drift_epochs_keeps_its_counters() {
+    let expected = [
+        (
+            DelayModelChoice::Dense,
+            1,
+            (82_662, 7_840, 173, 1_504),
+            1_464,
+        ),
+        (
+            DelayModelChoice::Dense,
+            2,
+            (61_082, 4_143, 138, 1_202),
+            1_633,
+        ),
+        (
+            DelayModelChoice::Dense,
+            3,
+            (79_208, 8_204, 124, 1_317),
+            1_297,
+        ),
+        (
+            DelayModelChoice::Coordinate,
+            1,
+            (77_253, 6_492, 74, 1_521),
+            1_934,
+        ),
+        (
+            DelayModelChoice::Coordinate,
+            2,
+            (63_835, 4_735, 116, 1_203),
+            1_048,
+        ),
+        (
+            DelayModelChoice::Coordinate,
+            3,
+            (84_006, 8_951, 125, 1_270),
+            2_095,
+        ),
+    ];
+    for (delays, seed, (messages, cap_hits, drops, repositioned), layer_sum) in expected {
+        assert_eq!(
+            churn_across_epochs(300, seed, delays),
+            (
+                ResyncCounters {
+                    subscription_messages: messages,
+                    resync_cap_hits: cap_hits,
+                    layer_drops: drops,
+                    victims_repositioned: repositioned,
+                },
+                layer_sum
+            ),
+            "{delays:?} seed {seed}"
+        );
+    }
 }

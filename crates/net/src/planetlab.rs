@@ -18,6 +18,12 @@ use telecast_sim::{SimDuration, SimRng, SimTime};
 use crate::node::{NodeId, NodeRegistry};
 
 /// A source of one-way network propagation delays between nodes.
+///
+/// Contract: `one_way(at, a, b)` depends on `at` only through
+/// [`epoch_index`](crate::epoch_index)`(at)`, so delays are constant
+/// within a 15-minute drift epoch. The session relies on it twice: its
+/// periodic adaptation skips ticks that cross no epoch boundary, and
+/// each subscription caches its parent leg for the rest of the epoch.
 pub trait DelayModel {
     /// One-way propagation delay from `from` to `to` at virtual time `at`.
     fn one_way(&self, at: SimTime, from: NodeId, to: NodeId) -> SimDuration;
