@@ -24,21 +24,15 @@ use std::time::Instant;
 use telecast_bench::{run_churn, ChurnScenario, ScenarioArgs};
 
 fn main() {
-    let args = ScenarioArgs::from_env();
-    if args.threads.is_some() {
-        eprintln!(
-            "warning: this scenario runs the legacy single-loop engine; \
-             --threads only affects the sharded runtime (see mega_storm)."
-        );
-    }
-    if args.predictive || args.per_region {
-        eprintln!(
-            "warning: churn_storm ignores --predictive/--per-region \
-             (reactive autoscaling over the global pool only; \
-             see spike_storm for per-region predictive scaling). \
-             --predictive's implied --autoscale stays in effect."
-        );
-    }
+    let args = ScenarioArgs::from_env(&[
+        "--viewers",
+        "--minutes",
+        "--churn-pct",
+        "--backend",
+        "--seed",
+        "--pool-mbps",
+        "--autoscale",
+    ]);
     let defaults = ChurnScenario::default();
     let scenario = ChurnScenario {
         viewers: args.viewers.unwrap_or(defaults.viewers),

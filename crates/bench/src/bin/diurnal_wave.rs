@@ -27,21 +27,15 @@ use std::time::Instant;
 use telecast_bench::{run_diurnal, DiurnalScenario, ScenarioArgs};
 
 fn main() {
-    let args = ScenarioArgs::from_env();
-    if args.threads.is_some() {
-        eprintln!(
-            "warning: this scenario runs the legacy single-loop engine; \
-             --threads only affects the sharded runtime (see mega_storm)."
-        );
-    }
-    if args.predictive || args.per_region {
-        eprintln!(
-            "warning: diurnal_wave ignores --predictive/--per-region \
-             (reactive autoscaling over the global pool only; \
-             see spike_storm for per-region predictive scaling). \
-             --predictive's implied --autoscale stays in effect."
-        );
-    }
+    let args = ScenarioArgs::from_env(&[
+        "--viewers",
+        "--minutes",
+        "--churn-pct",
+        "--backend",
+        "--seed",
+        "--pool-mbps",
+        "--autoscale",
+    ]);
     let defaults = DiurnalScenario::default();
     let minutes = args.minutes.unwrap_or(defaults.minutes);
     let scenario = DiurnalScenario {

@@ -21,13 +21,15 @@ use std::time::Instant;
 use telecast_bench::{run_epoch_sweep, sweep_figure, ScenarioArgs, SweepScenario};
 
 fn main() {
-    let args = ScenarioArgs::from_env();
-    if args.predictive || args.per_region || args.autoscale {
-        eprintln!(
-            "warning: epoch_sweep ignores --autoscale/--predictive/--per-region \
-             (every grid point runs the plain sharded mega-storm workload)."
-        );
-    }
+    let args = ScenarioArgs::from_env(&[
+        "--viewers",
+        "--minutes",
+        "--churn-pct",
+        "--backend",
+        "--seed",
+        "--threads",
+        "--epoch-secs",
+    ]);
     let defaults = SweepScenario::default();
     let thread_cap = args.threads.unwrap_or(4).max(1);
     let mut threads = vec![1];

@@ -28,26 +28,7 @@ use telecast_net::{Bandwidth, BandwidthProfile};
 use telecast_sim::SimRng;
 
 fn main() {
-    let args = ScenarioArgs::from_env();
-    if args.threads.is_some() {
-        eprintln!(
-            "warning: this scenario runs the legacy single-loop engine; \
-             --threads only affects the sharded runtime (see mega_storm)."
-        );
-    }
-    if args.minutes.is_some() || args.churn_pct.is_some() {
-        eprintln!(
-            "warning: flash_crowd ignores --minutes/--churn-pct \
-             (the kickoff is instantaneous; see churn_storm for sustained churn)"
-        );
-    }
-    if args.autoscale || args.predictive || args.per_region {
-        eprintln!(
-            "warning: flash_crowd ignores --autoscale/--predictive/--per-region \
-             (the kickoff completes before a scale tick; see churn_storm, \
-             diurnal_wave and spike_storm)"
-        );
-    }
+    let args = ScenarioArgs::from_env(&["--viewers", "--backend", "--seed", "--pool-mbps"]);
     let viewers = args.viewers.unwrap_or(10_000);
     let backend = args.backend.unwrap_or(DelayModelChoice::Coordinate);
 

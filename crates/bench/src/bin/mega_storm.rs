@@ -23,15 +23,17 @@ use std::time::Instant;
 use telecast_bench::{run_mega, MegaScenario, ScenarioArgs};
 
 fn main() {
-    let args = ScenarioArgs::from_env();
-    if args.predictive || args.per_region {
-        eprintln!(
-            "warning: mega_storm ignores --predictive/--per-region \
-             (the sharded runtime already runs one reactive autoscaler \
-             per regional shard pool). \
-             --predictive's implied --autoscale stays in effect."
-        );
-    }
+    let args = ScenarioArgs::from_env(&[
+        "--viewers",
+        "--minutes",
+        "--churn-pct",
+        "--backend",
+        "--seed",
+        "--pool-mbps",
+        "--autoscale",
+        "--threads",
+        "--epoch-secs",
+    ]);
     let defaults = MegaScenario::default();
     let scenario = MegaScenario {
         viewers: args.viewers.unwrap_or(defaults.viewers),

@@ -25,13 +25,17 @@ use std::time::Instant;
 use telecast_bench::{run_spike, ScenarioArgs, SpikeScenario};
 
 fn main() {
-    let args = ScenarioArgs::from_env();
-    if args.threads.is_some() {
-        eprintln!(
-            "warning: this scenario runs the legacy single-loop engine; \
-             --threads only affects the sharded runtime (see mega_storm)."
-        );
-    }
+    let args = ScenarioArgs::from_env(&[
+        "--viewers",
+        "--minutes",
+        "--churn-pct",
+        "--backend",
+        "--seed",
+        "--pool-mbps",
+        "--autoscale",
+        "--predictive",
+        "--per-region",
+    ]);
     let defaults = SpikeScenario::default();
     let minutes = args.minutes.unwrap_or(defaults.minutes);
     let scenario = SpikeScenario {

@@ -24,13 +24,18 @@ use std::time::Instant;
 use telecast_bench::{run_tenant_mix, ScenarioArgs, TenantMixScenario};
 
 fn main() {
-    let args = ScenarioArgs::from_env();
-    if args.threads.is_some() {
-        eprintln!(
-            "warning: this scenario advances tenants sequentially; \
-             --threads only affects the sharded runtime (see mega_storm)."
-        );
-    }
+    let args = ScenarioArgs::from_env(&[
+        "--viewers",
+        "--tenants",
+        "--zipf",
+        "--minutes",
+        "--churn-pct",
+        "--backend",
+        "--seed",
+        "--pool-mbps",
+        "--autoscale",
+        "--predictive",
+    ]);
     let defaults = TenantMixScenario::default();
     let minutes = args.minutes.unwrap_or(defaults.minutes);
     let scenario = TenantMixScenario {

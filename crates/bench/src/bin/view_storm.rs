@@ -24,19 +24,16 @@ use std::time::Instant;
 use telecast_bench::{run_view_storm, ScenarioArgs, ViewStormScenario};
 
 fn main() {
-    let args = ScenarioArgs::from_env();
-    if args.threads.is_some() {
-        eprintln!(
-            "warning: this scenario runs the legacy single-loop engine; \
-             --threads only affects the sharded runtime (see mega_storm)."
-        );
-    }
-    if args.autoscale || args.predictive || args.per_region {
-        eprintln!(
-            "warning: view_storm ignores --autoscale/--predictive/--per-region \
-             (static global pool only; see spike_storm for elastic scaling)."
-        );
-    }
+    let args = ScenarioArgs::from_env(&[
+        "--viewers",
+        "--minutes",
+        "--views",
+        "--zipf-view",
+        "--refocus-pct",
+        "--backend",
+        "--seed",
+        "--pool-mbps",
+    ]);
     let defaults = ViewStormScenario::default();
     let scenario = ViewStormScenario {
         viewers: args.viewers.unwrap_or(defaults.viewers),

@@ -1,9 +1,10 @@
 //! Minimal flag parsing shared by the scenario binaries.
 //!
-//! The scale bins (`flash_crowd`, `churn_storm`) accept the same knobs —
-//! population, delay backend, seed, simulated duration, churn rate — so
-//! the parsing lives here once. No external argument-parsing crate: the
-//! container builds offline.
+//! The scenario bins share their knobs — population, delay backend,
+//! seed, simulated duration, churn rate — so the parsing lives here
+//! once. Each bin names the flags it reads, and setting any other flag
+//! is a usage error rather than a silent no-op. No external
+//! argument-parsing crate: the workspace builds offline.
 
 use telecast::DelayModelChoice;
 
@@ -223,10 +224,57 @@ impl ScenarioArgs {
         Ok(out)
     }
 
-    /// Parses the process arguments, exiting with the usage message on
-    /// error.
-    pub fn from_env() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
+    /// Every flag's command-line name, and whether it was set. A bare
+    /// positional viewer count counts as `--viewers`; `--predictive`
+    /// also sets `--autoscale`.
+    fn flags_set(&self) -> [(&'static str, bool); 16] {
+        [
+            ("--viewers", self.viewers.is_some()),
+            ("--minutes", self.minutes.is_some()),
+            ("--backend", self.backend.is_some()),
+            ("--seed", self.seed.is_some()),
+            ("--churn-pct", self.churn_pct.is_some()),
+            ("--pool-mbps", self.pool_mbps.is_some()),
+            ("--autoscale", self.autoscale),
+            ("--predictive", self.predictive),
+            ("--per-region", self.per_region),
+            ("--threads", self.threads.is_some()),
+            ("--epoch-secs", self.epoch_secs.is_some()),
+            ("--tenants", self.tenants.is_some()),
+            ("--zipf", self.zipf.is_some()),
+            ("--views", self.views.is_some()),
+            ("--zipf-view", self.zipf_view.is_some()),
+            ("--refocus-pct", self.refocus_pct.is_some()),
+        ]
+    }
+
+    /// Checks that every flag set is one of `reads`, the flags the
+    /// calling scenario reads.
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage message naming the first flag that was set but
+    /// is not read.
+    pub fn only(&self, reads: &[&str]) -> Result<(), String> {
+        match self
+            .flags_set()
+            .into_iter()
+            .find(|&(flag, set)| set && !reads.contains(&flag))
+        {
+            Some((flag, _)) => Err(format!(
+                "this scenario does not read {flag} (it reads {})",
+                reads.join(", ")
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// Parses the process arguments and checks them against `reads`
+    /// (see [`ScenarioArgs::only`]), exiting with status 2 and the
+    /// usage message on error.
+    pub fn from_env(reads: &[&str]) -> Self {
+        match Self::parse(std::env::args().skip(1)).and_then(|args| args.only(reads).map(|()| args))
+        {
             Ok(args) => args,
             Err(msg) => {
                 eprintln!("error: {msg}");
@@ -403,6 +451,61 @@ mod tests {
         // Positive values still parse through both.
         assert_eq!(parse(&["--viewers", "7"]).unwrap().viewers, Some(7));
         assert_eq!(parse(&["7"]).unwrap().viewers, Some(7));
+    }
+
+    #[test]
+    fn flags_a_scenario_does_not_read_are_errors() {
+        let reads = ["--viewers", "--minutes", "--autoscale"];
+        assert!(parse(&["--viewers", "9", "--autoscale"])
+            .unwrap()
+            .only(&reads)
+            .is_ok());
+        assert!(parse(&[]).unwrap().only(&[]).is_ok());
+        let err = parse(&["--minutes", "3", "--threads", "4"])
+            .unwrap()
+            .only(&reads)
+            .unwrap_err();
+        assert!(err.contains("--threads"), "{err}");
+        // The positional viewer count is `--viewers`, and `--predictive`
+        // is refused where only its implied `--autoscale` is read.
+        assert!(parse(&["7"]).unwrap().only(&["--seed"]).is_err());
+        let err = parse(&["--predictive"]).unwrap().only(&reads).unwrap_err();
+        assert!(err.contains("--predictive"), "{err}");
+        // Every flag the parser knows is named by exactly one entry.
+        let all = parse(&[
+            "--viewers",
+            "1",
+            "--minutes",
+            "1",
+            "--backend",
+            "dense",
+            "--seed",
+            "1",
+            "--churn-pct",
+            "1",
+            "--pool-mbps",
+            "1",
+            "--predictive",
+            "--per-region",
+            "--threads",
+            "1",
+            "--epoch-secs",
+            "1",
+            "--tenants",
+            "1",
+            "--zipf",
+            "1",
+            "--views",
+            "1",
+            "--zipf-view",
+            "1",
+            "--refocus-pct",
+            "1",
+        ])
+        .unwrap();
+        let names: Vec<&str> = all.flags_set().iter().map(|&(flag, _)| flag).collect();
+        assert!(all.flags_set().iter().all(|&(_, set)| set));
+        assert!(all.only(&names).is_ok());
     }
 
     #[test]

@@ -10,14 +10,19 @@
 //! * [`AutoscalePolicy`] — a target-utilisation band with min/max
 //!   capacity bounds, a capacity step per action, and independent
 //!   scale-up/scale-down cooldowns;
-//! * [`Autoscaler`] — the stateful controller: it evaluates the policy
-//!   against the pool at each tick and emits [`ScaleDecision`]s, which
-//!   the owner applies with [`crate::Cdn::apply_scale`].
+//! * [`Autoscaler`] — the stateful controller: one control step,
+//!   [`Autoscaler::tick`], scores its due forecasts, feeds its demand
+//!   EWMAs and evaluates the policy against the pool, emitting
+//!   [`ScaleDecision`]s which the owner applies with
+//!   [`crate::Cdn::apply_scale`]. [`Autoscaler::per_slot`] builds one
+//!   controller per pool slot.
 //!
 //! The controller is deliberately deterministic and side-effect free —
 //! decisions are pure functions of `(policy, pool state, last action
 //! times)`, so two sessions with identical event timelines autoscale
 //! identically.
+
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 use telecast_net::{Bandwidth, CapacityAccount};
@@ -187,8 +192,8 @@ impl AutoscalePolicy {
 /// where `trend` is an EWMA of the observed *net* demand drift (how fast
 /// the pool's reserved Mbps is moving — the stock the standing audience
 /// integrates), `inflow` an EWMA of the observed *fresh arrival* demand
-/// rate (the flow the churn profile modulates; both fed by the owner
-/// via [`Autoscaler::observe_demand`]), and `phase_ratio` the session's
+/// rate (the flow the churn profile modulates; both fed at each
+/// [`Autoscaler::tick`]), and `phase_ratio` the session's
 /// arrival-rate profile looked up `horizon` ahead relative to now (see
 /// `telecast_media::RateProfile::forecast_ratio`). In steady state
 /// (flat trend, `phase_ratio ≈ 1`) the forecast is just the current
@@ -257,11 +262,12 @@ impl PredictivePolicy {
 }
 
 /// The stateful autoscale controller: policy plus per-direction cooldown
-/// bookkeeping and action counters. Every regional pool gets its *own*
-/// instance — the cooldown timestamps live here, so one region's
-/// scale-up never silences another region's (a shared controller would
-/// gate all regions on whichever scaled last).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// bookkeeping, action counters and the forecaster's per-slot state.
+/// Every regional pool gets its *own* instance — the cooldown
+/// timestamps live here, so one region's scale-up never silences
+/// another region's (a shared controller would gate all regions on
+/// whichever scaled last).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Autoscaler {
     policy: AutoscalePolicy,
     predictive: Option<PredictivePolicy>,
@@ -274,10 +280,12 @@ pub struct Autoscaler {
     last_down: Option<SimTime>,
     ups: u64,
     downs: u64,
-    /// The most recent demand forecast: (when it comes due, forecast
-    /// demand in Mbps). Refreshed on every predictive evaluation so
-    /// callers can later score forecast vs realised demand.
-    last_forecast: Option<(SimTime, f64)>,
+    /// The pool's reserved Kbps at the previous tick — the finite
+    /// difference behind the demand-trend EWMA.
+    prev_used_kbps: u64,
+    /// Issued-but-not-yet-due forecasts, `(due, forecast Mbps)` in issue
+    /// order, scored against the realised demand once due.
+    pending_forecasts: VecDeque<(SimTime, f64)>,
 }
 
 impl Autoscaler {
@@ -299,7 +307,8 @@ impl Autoscaler {
             last_down: None,
             ups: 0,
             downs: 0,
-            last_forecast: None,
+            prev_used_kbps: 0,
+            pending_forecasts: VecDeque::new(),
         }
     }
 
@@ -320,6 +329,35 @@ impl Autoscaler {
         }
     }
 
+    /// Builds the controllers for `pool_slots` pool slots under `scope`:
+    /// none without a `policy`, one on `policy` itself for a single
+    /// slot, or one per regional pool with the policy split by the
+    /// region weights (see [`AutoscalePolicy::split`]). Each is
+    /// predictive when `predictive` is set, and each owns its clocks.
+    pub fn per_slot(
+        policy: Option<AutoscalePolicy>,
+        predictive: Option<PredictivePolicy>,
+        scope: PoolScope,
+        pool_slots: usize,
+    ) -> Vec<Autoscaler> {
+        let Some(policy) = policy else {
+            return Vec::new();
+        };
+        let scope = if pool_slots == 1 {
+            PoolScope::Global
+        } else {
+            scope
+        };
+        policy
+            .split(scope)
+            .into_iter()
+            .map(|slot_policy| match predictive {
+                Some(predictive) => Autoscaler::predictive(slot_policy, predictive),
+                None => Autoscaler::new(slot_policy),
+            })
+            .collect()
+    }
+
     /// Whether this controller scales on a demand forecast rather than
     /// the utilisation band alone.
     pub fn is_predictive(&self) -> bool {
@@ -336,7 +374,7 @@ impl Autoscaler {
     /// stream requests per second since the last tick), and
     /// `trend_mbps_per_sec` the net drift of the pool's reserved demand
     /// over the same window. No-op on reactive controllers.
-    pub fn observe_demand(&mut self, inflow_mbps_per_sec: f64, trend_mbps_per_sec: f64) {
+    fn observe_demand(&mut self, inflow_mbps_per_sec: f64, trend_mbps_per_sec: f64) {
         if let Some(pred) = self.predictive {
             self.ewma_demand =
                 pred.alpha * inflow_mbps_per_sec + (1.0 - pred.alpha) * self.ewma_demand;
@@ -371,20 +409,53 @@ impl Autoscaler {
         self.downs
     }
 
-    /// The most recent predictive forecast: (due time `now + horizon`,
-    /// forecast demand in Mbps). `None` on reactive controllers or
-    /// before the first predictive evaluation. Callers compare it
-    /// against the demand realised at the due time to score the
-    /// forecaster (see `SessionMetrics::forecast_error_by_slot`).
-    pub fn last_forecast(&self) -> Option<(SimTime, f64)> {
-        self.last_forecast
+    /// One control step on `pool` at virtual time `now`, run every
+    /// `period` by the owner:
+    ///
+    /// 1. scores each forecast that has come due against the demand
+    ///    reserved now, handing `forecast − realised` Mbps to
+    ///    `on_scored` in issue order;
+    /// 2. feeds the EWMAs with `fresh_kbps`, the fresh arrival demand
+    ///    observed since the last tick, and with the drift of the
+    ///    reserved demand since the last tick;
+    /// 3. evaluates the policy — on the demand forecast at
+    ///    `phase_ratio`, queueing that forecast for scoring, or on the
+    ///    utilisation band for a reactive controller, which ignores
+    ///    `fresh_kbps` and issues no forecast.
+    ///
+    /// The caller applies the returned decision to the pool.
+    pub fn tick(
+        &mut self,
+        now: SimTime,
+        pool: &CapacityAccount,
+        fresh_kbps: u64,
+        period: SimDuration,
+        phase_ratio: f64,
+        mut on_scored: impl FnMut(f64),
+    ) -> Option<ScaleDecision> {
+        let used_mbps = pool.used().as_mbps_f64();
+        while let Some(&(due, forecast_mbps)) = self.pending_forecasts.front() {
+            if due > now {
+                break;
+            }
+            self.pending_forecasts.pop_front();
+            on_scored(forecast_mbps - used_mbps);
+        }
+        let period_secs = period.as_secs_f64();
+        let used_kbps = pool.used().as_kbps();
+        let prev_kbps = std::mem::replace(&mut self.prev_used_kbps, used_kbps);
+        self.observe_demand(
+            fresh_kbps as f64 / 1_000.0 / period_secs,
+            (used_kbps as f64 - prev_kbps as f64) / 1_000.0 / period_secs,
+        );
+        self.evaluate_predictive(now, pool, phase_ratio)
     }
 
     /// Evaluates the policy against `pool` at virtual time `now` and, if
     /// a resize is warranted (band violated, bounds allow movement,
     /// cooldown elapsed), records the action and returns it. The caller
     /// applies the returned decision to the pool.
-    pub fn evaluate(&mut self, now: SimTime, pool: &CapacityAccount) -> Option<ScaleDecision> {
+    fn evaluate(&mut self, now: SimTime, pool: &CapacityAccount) -> Option<ScaleDecision> {
         let p = &self.policy;
         let total = pool.total();
         let util = pool.utilisation();
@@ -422,15 +493,16 @@ impl Autoscaler {
     }
 
     /// Evaluates the *predictive* policy against `pool` at virtual time
-    /// `now`. `phase_ratio` is the arrival-rate profile's multiplier at
-    /// `now + horizon` relative to now (1.0 when no profile is known).
-    /// Falls back to [`Autoscaler::evaluate`] on reactive controllers.
+    /// `now` and queues the forecast for scoring. `phase_ratio` is the
+    /// arrival-rate profile's multiplier at `now + horizon` relative to
+    /// now (1.0 when no profile is known). Falls back to
+    /// [`Autoscaler::evaluate`] on reactive controllers.
     ///
     /// Unlike the reactive step walk, a predictive decision moves the
     /// pool *directly* to the forecast target (quantised to step
     /// multiples above `min`, clamped to the policy bounds), in either
     /// direction, still rate-limited by the per-direction cooldowns.
-    pub fn evaluate_predictive(
+    fn evaluate_predictive(
         &mut self,
         now: SimTime,
         pool: &CapacityAccount,
@@ -446,7 +518,8 @@ impl Autoscaler {
         // steady-state flow itself is balanced by departures).
         let surge = pred.horizon.as_secs_f64()
             * (self.ewma_trend + self.ewma_demand * (phase_ratio.max(0.0) - 1.0));
-        self.last_forecast = Some((now + pred.horizon, (used + surge).max(0.0)));
+        self.pending_forecasts
+            .push_back((now + pred.horizon, (used + surge).max(0.0)));
         let target_mbps = {
             let raw = (used + surge).max(0.0) / pred.target_utilisation;
             let min = p.min.as_mbps_f64();
@@ -723,6 +796,92 @@ mod tests {
         assert!(scaler
             .evaluate_predictive(SimTime::from_secs(10), &pool(2_000, 1_400), 9.0)
             .is_none());
+    }
+
+    fn ticking(horizon_secs: u64) -> Autoscaler {
+        let pred = PredictivePolicy {
+            horizon: SimDuration::from_secs(horizon_secs),
+            alpha: 1.0,
+            target_utilisation: 0.5,
+        };
+        Autoscaler::predictive(
+            AutoscalePolicy {
+                max: Bandwidth::from_mbps(10_000),
+                ..policy()
+            },
+            pred,
+        )
+    }
+
+    /// Ticks `scaler` at `secs` on a pool reserving `used_mbps` with no
+    /// fresh demand, returning the errors it scored.
+    fn tick_at(scaler: &mut Autoscaler, secs: u64, used_mbps: u64) -> Vec<f64> {
+        let mut scored = Vec::new();
+        scaler.tick(
+            SimTime::from_secs(secs),
+            &pool(4_000, used_mbps),
+            0,
+            SimDuration::from_secs(10),
+            1.0,
+            |error| scored.push(error),
+        );
+        scored
+    }
+
+    #[test]
+    fn tick_scores_forecasts_once_due_in_issue_order() {
+        let mut scaler = ticking(20);
+        // With a flat phase the forecast is used + horizon · trend:
+        // 400 + 20·40 = 1200 due at 30 s, then 600 + 20·20 = 1000 due
+        // at 40 s.
+        assert!(tick_at(&mut scaler, 10, 400).is_empty());
+        assert!(tick_at(&mut scaler, 20, 600).is_empty());
+        // Both mature by 40 s (a forecast due exactly now counts) and
+        // score against the demand realised then, oldest first.
+        assert_eq!(tick_at(&mut scaler, 40, 500), vec![700.0, 500.0]);
+        // The 40 s forecast is due at 60 s, not yet.
+        assert!(tick_at(&mut scaler, 50, 500).is_empty());
+        assert_eq!(scaler.pending_forecasts.len(), 2);
+    }
+
+    #[test]
+    fn tick_trends_on_the_previous_ticks_reserved_demand() {
+        let mut scaler = ticking(60);
+        let tick = |scaler: &mut Autoscaler, secs, used_mbps, fresh_kbps| {
+            scaler.tick(
+                SimTime::from_secs(secs),
+                &pool(4_000, used_mbps),
+                fresh_kbps,
+                SimDuration::from_secs(10),
+                1.0,
+                |_| {},
+            );
+        };
+        tick(&mut scaler, 10, 400, 50_000);
+        tick(&mut scaler, 20, 600, 0);
+        // α = 1: the trend is this tick's finite difference against the
+        // previous tick's 400 Mbps, the inflow this tick's fresh demand.
+        assert_eq!(scaler.demand_trend(), 20.0);
+        assert_eq!(scaler.demand_rate(), 0.0);
+        tick(&mut scaler, 30, 300, 50_000);
+        assert_eq!(scaler.demand_trend(), -30.0);
+        assert_eq!(scaler.demand_rate(), 5.0);
+    }
+
+    #[test]
+    fn reactive_tick_ignores_fresh_demand_and_queues_no_forecast() {
+        let mut ticked = Autoscaler::new(policy());
+        let mut evaluated = Autoscaler::new(policy());
+        for (secs, used_mbps) in [(10, 950), (20, 100), (90, 100), (200, 3_900)] {
+            let pool = pool(4_000, used_mbps);
+            let now = SimTime::from_secs(secs);
+            let decision = ticked.tick(now, &pool, 1_000_000, policy().period, 9.0, |_| {
+                panic!("a reactive controller scored a forecast")
+            });
+            assert_eq!(decision, evaluated.evaluate(now, &pool));
+        }
+        assert_eq!(ticked.demand_rate(), 0.0);
+        assert!(ticked.pending_forecasts.is_empty());
     }
 
     #[test]

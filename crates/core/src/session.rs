@@ -260,7 +260,12 @@ impl SessionBuilder {
             None => CapacityBroker::single(config.cdn),
         };
         let pool_slots = cdn.pool_slots();
-        let autoscalers = build_autoscalers(&config, pool_slots);
+        let autoscalers = Autoscaler::per_slot(
+            config.autoscale,
+            config.predictive,
+            config.cdn.pool_scope,
+            pool_slots,
+        );
         // Pre-size the hot-path queues to the population: a churning
         // session keeps roughly one dwell timer per connected viewer in
         // the heap, so without the headroom a million-viewer prefill
@@ -298,8 +303,6 @@ impl SessionBuilder {
                 .map(|_| VecDeque::with_capacity(retry_capacity))
                 .collect(),
             arrival_demand_kbps: vec![0; pool_slots],
-            prev_used_kbps: vec![0; pool_slots],
-            pending_forecasts: (0..pool_slots).map(|_| VecDeque::new()).collect(),
             retry_parked: FxHashSet::default(),
             retry_counts: FxHashMap::default(),
             connected_count: 0,
@@ -308,30 +311,6 @@ impl SessionBuilder {
             config,
         }
     }
-}
-
-/// Builds the per-pool-slot autoscale controllers for `config`: none
-/// when autoscaling is off, one controller on the configured policy for
-/// the global pool, or one per regional pool with the policy's
-/// `min`/`max`/`step` split by the same region weights as the pool
-/// itself — each instance owns its cooldown clocks, so one region's
-/// scale action never gates another's.
-pub(crate) fn build_autoscalers(config: &SessionConfig, pool_slots: usize) -> Vec<Autoscaler> {
-    let Some(policy) = &config.autoscale else {
-        return Vec::new();
-    };
-    let make = |slot_policy: telecast_cdn::AutoscalePolicy| match config.predictive {
-        Some(predictive) => Autoscaler::predictive(slot_policy, predictive),
-        None => Autoscaler::new(slot_policy),
-    };
-    if pool_slots == 1 {
-        return vec![make(*policy)];
-    }
-    policy
-        .split(config.cdn.pool_scope)
-        .into_iter()
-        .map(make)
-        .collect()
 }
 
 fn sample_region(rng: &mut SimRng) -> Region {
@@ -410,15 +389,6 @@ pub struct TelecastSession {
     /// pool slot since the last autoscale tick — the predictive
     /// controller's inflow-EWMA input.
     arrival_demand_kbps: Vec<u64>,
-    /// Each pool slot's reserved Kbps at the previous autoscale tick —
-    /// the finite difference behind the predictive controller's
-    /// demand-trend EWMA.
-    prev_used_kbps: Vec<u64>,
-    /// Outstanding demand forecasts per pool slot: `(due, forecast
-    /// Mbps)` pairs recorded at each predictive evaluation, scored
-    /// against the realised reserved demand once the due time passes
-    /// (see `SessionMetrics::forecast_error_by_slot`).
-    pending_forecasts: Vec<VecDeque<(SimTime, f64)>>,
     /// Members of the retry queue that are still eligible (a churn dwell
     /// expiry unparks its viewer — the pool owns it again from then on).
     retry_parked: FxHashSet<NodeId>,
@@ -697,70 +667,38 @@ impl TelecastSession {
         }
     }
 
-    /// One elastic-CDN control tick, per pool slot: evaluate the slot's
-    /// autoscale policy against its pool at the current instant —
-    /// reactively on the utilisation band, or predictively on the
-    /// demand forecast (the churn rate-profile's phase one horizon
-    /// ahead × an EWMA of the slot's observed fresh arrival demand) —
-    /// apply the resulting resize (growing or retiring that region's
-    /// edges, accruing its provisioned-capacity meter), and retry the
-    /// joins parked on the slot's queue. Re-arms itself while the
-    /// session stays active, like the monitor.
+    /// One elastic-CDN control tick: an [`Autoscaler::tick`] per pool
+    /// slot on the slot's fresh arrival demand, with each matured
+    /// forecast's error sampled into the metrics; then the resulting
+    /// resize (growing or retiring that region's edges, accruing its
+    /// provisioned-capacity meter) and a retry of the joins parked on
+    /// the slot's queue. Re-arms itself while the session stays active,
+    /// like the monitor.
     fn autoscale_tick(&mut self) {
         let now = self.engine.now();
         let Some(first) = self.autoscalers.first() else {
             return;
         };
         let period = first.policy().period;
-        let predictive = first.is_predictive();
         // The forecast ratio is a property of the session-wide arrival
         // process, shared by every regional controller this tick.
         // The ratio is measured against the rate of ~2 ticks ago — the
         // reference the EWMA-smoothed demand observations effectively
         // reflect — so a burst's onset keeps its elevated forecast until
         // the observed demand catches up with the rate.
-        let phase_ratio = match first.predictive_policy() {
-            Some(pred) => self
-                .churn
-                .as_ref()
-                .map(|c| {
-                    c.spec
-                        .rate_profile
-                        .forecast_ratio_lagged(now, pred.horizon, period * 2)
-                })
-                .unwrap_or(1.0),
-            None => 1.0,
-        };
-        let period_secs = period.as_secs_f64();
+        let phase_ratio = first
+            .predictive_policy()
+            .and_then(|pred| self.phase_ratio(now, pred.horizon, period * 2))
+            .unwrap_or(1.0);
         let mut scaled = false;
         for slot in 0..self.autoscalers.len() {
             let pool = self.cdn.pool(slot);
-            // Score forecasts whose horizon has come due against the
-            // demand actually reserved now.
-            while let Some(&(due, forecast_mbps)) = self.pending_forecasts[slot].front() {
-                if due > now {
-                    break;
-                }
-                self.pending_forecasts[slot].pop_front();
-                let error = forecast_mbps - pool.used().as_mbps_f64();
-                self.metrics.sample_forecast_error(slot, now, error);
-            }
-            let scaler = &mut self.autoscalers[slot];
-            let decision = if predictive {
-                let fresh_kbps = std::mem::replace(&mut self.arrival_demand_kbps[slot], 0);
-                let used_kbps = pool.used().as_kbps();
-                let prev_kbps = std::mem::replace(&mut self.prev_used_kbps[slot], used_kbps);
-                let inflow = fresh_kbps as f64 / 1_000.0 / period_secs;
-                let trend = (used_kbps as f64 - prev_kbps as f64) / 1_000.0 / period_secs;
-                scaler.observe_demand(inflow, trend);
-                let decision = scaler.evaluate_predictive(now, &pool, phase_ratio);
-                if let Some(forecast) = scaler.last_forecast() {
-                    self.pending_forecasts[slot].push_back(forecast);
-                }
-                decision
-            } else {
-                scaler.evaluate(now, &pool)
-            };
+            let fresh_kbps = std::mem::replace(&mut self.arrival_demand_kbps[slot], 0);
+            let metrics = &mut self.metrics;
+            let decision =
+                self.autoscalers[slot].tick(now, &pool, fresh_kbps, period, phase_ratio, |error| {
+                    metrics.sample_forecast_error(slot, now, error)
+                });
             if let Some(decision) = decision {
                 let actual = self.cdn.apply_scale_slot(slot, decision.to, now);
                 self.metrics
@@ -790,6 +728,20 @@ impl TelecastSession {
         } else {
             self.autoscale_armed = false;
         }
+    }
+
+    /// This session's forecast phase ratio (expected arrival-rate ratio
+    /// one `horizon` ahead, measured against the rate `lag` ago), or
+    /// `None` when no churn runtime drives the session.
+    pub(crate) fn phase_ratio(
+        &self,
+        now: SimTime,
+        horizon: SimDuration,
+        lag: SimDuration,
+    ) -> Option<f64> {
+        self.churn
+            .as_ref()
+            .map(|c| c.spec.rate_profile.forecast_ratio_lagged(now, horizon, lag))
     }
 
     /// Retries parked CDN-rejected joins at the current instant, FIFO
@@ -3244,20 +3196,6 @@ impl TelecastSession {
     pub(crate) fn fleet_take_arrival_demand(&mut self) -> Vec<u64> {
         let slots = self.arrival_demand_kbps.len();
         std::mem::replace(&mut self.arrival_demand_kbps, vec![0; slots])
-    }
-
-    /// This tenant's forecast phase ratio (expected arrival-rate ratio
-    /// one `horizon` ahead, measured against the rate `lag` ago), or
-    /// `None` when no churn runtime drives the session.
-    pub(crate) fn fleet_phase_ratio(
-        &self,
-        now: SimTime,
-        horizon: telecast_sim::SimDuration,
-        lag: telecast_sim::SimDuration,
-    ) -> Option<f64> {
-        self.churn
-            .as_ref()
-            .map(|c| c.spec.rate_profile.forecast_ratio_lagged(now, horizon, lag))
     }
 
     /// Worst-case CDN demand parked on each slot's retry queue, in Kbps

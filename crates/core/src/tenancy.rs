@@ -11,8 +11,10 @@
 //!    pool slot (the predictive controller's inflow signal is the
 //!    *sum* across tenants — one bursting broadcast raises the shared
 //!    forecast instead of surprising its neighbours),
-//! 2. evaluates one shared autoscaler per regional pool against the
-//!    broker's pool accounts and applies the resulting resizes,
+//! 2. steps one shared [`Autoscaler`] per regional pool against the
+//!    broker's pool accounts — [`Autoscaler::tick`], the control step
+//!    a standalone session runs on its own `AutoscaleTick` — records
+//!    the matured forecast errors and applies the resulting resizes,
 //! 3. accrues per-tenant served-Mbps-hours metering, and
 //! 4. splits each pool's retry headroom *fairly* across the tenants
 //!    with parked CDN-rejected joins, by the broker's deficit-weighted
@@ -23,16 +25,13 @@
 //! a fleet run is a pure function of its seeds: equal configurations
 //! replay identically regardless of host or repetition.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use telecast_cdn::{
-    Autoscaler, CapacityBroker, ScaleDirection, TenantHandle, TenantId, TenantQuota,
-};
+use telecast_cdn::{Autoscaler, CapacityBroker, TenantHandle, TenantId, TenantQuota};
 use telecast_sim::{EpochSchedule, SimDuration, SimTime};
 
 use crate::config::SessionConfig;
-use crate::session::{build_autoscalers, TelecastSession};
+use crate::session::TelecastSession;
 
 /// Coordinator for M tenant broadcasts sharing one broker's pools.
 pub struct TenantFleet {
@@ -41,15 +40,10 @@ pub struct TenantFleet {
     tenant_ids: Vec<TenantId>,
     /// One shared controller per broker pool slot (empty = static pools).
     autoscalers: Vec<Autoscaler>,
-    /// Issued-but-not-yet-due forecasts per slot, scored at maturity.
-    pending_forecasts: Vec<VecDeque<(SimTime, f64)>>,
     /// Matured forecast errors (at, forecast − realised Mbps).
     forecast_errors: Vec<(SimTime, f64)>,
-    prev_used_kbps: Vec<u64>,
     epoch: SimDuration,
     now: SimTime,
-    autoscale_ups: u64,
-    autoscale_downs: u64,
 }
 
 impl TenantFleet {
@@ -65,19 +59,20 @@ impl TenantFleet {
         assert!(!epoch.is_zero(), "fleet epoch must be positive");
         let broker = CapacityBroker::shared(fleet_config.cdn);
         let pool_slots = broker.lock().expect("fresh broker").cdn().pool_slots();
-        let autoscalers = build_autoscalers(fleet_config, pool_slots);
+        let autoscalers = Autoscaler::per_slot(
+            fleet_config.autoscale,
+            fleet_config.predictive,
+            fleet_config.cdn.pool_scope,
+            pool_slots,
+        );
         TenantFleet {
             broker,
             sessions: Vec::new(),
             tenant_ids: Vec::new(),
             autoscalers,
-            pending_forecasts: (0..pool_slots).map(|_| VecDeque::new()).collect(),
             forecast_errors: Vec::new(),
-            prev_used_kbps: vec![0; pool_slots],
             epoch,
             now: SimTime::ZERO,
-            autoscale_ups: 0,
-            autoscale_downs: 0,
         }
     }
 
@@ -148,12 +143,12 @@ impl TenantFleet {
 
     /// Shared-controller scale-ups applied so far.
     pub fn autoscale_ups(&self) -> u64 {
-        self.autoscale_ups
+        self.autoscalers.iter().map(Autoscaler::scale_ups).sum()
     }
 
     /// Shared-controller scale-downs applied so far.
     pub fn autoscale_downs(&self) -> u64 {
-        self.autoscale_downs
+        self.autoscalers.iter().map(Autoscaler::scale_downs).sum()
     }
 
     /// Matured forecast errors (at, forecast − realised Mbps) of the
@@ -220,7 +215,7 @@ impl TenantFleet {
     /// One epoch barrier: shared autoscaling on aggregate demand, usage
     /// metering, and deficit-fair retry draining.
     fn barrier(&mut self, now: SimTime) {
-        let slots = self.prev_used_kbps.len();
+        let slots = self.broker.lock().expect("broker lock").cdn().pool_slots();
 
         // 1. Aggregate fresh arrival demand across tenants, per slot.
         let mut fresh = vec![0u64; slots];
@@ -233,74 +228,49 @@ impl TenantFleet {
         }
 
         // 2. Shared controllers: one per pool slot, fed the aggregate.
-        if !self.autoscalers.is_empty() {
-            let predictive = self.autoscalers[0].is_predictive();
-            // Fleet-wide phase ratio: the viewer-weighted mean of every
-            // tenant's forecast ratio — a large bursting broadcast moves
-            // the shared forecast more than a small steady one.
-            let phase_ratio = match self.autoscalers[0].predictive_policy() {
-                Some(pred) => {
-                    let lag = self.epoch * 2;
-                    let (mut num, mut den) = (0.0, 0.0);
-                    for session in &self.sessions {
-                        if let Some(ratio) = session.fleet_phase_ratio(now, pred.horizon, lag) {
-                            let weight = (session.connected_viewers() as f64).max(1.0);
-                            num += ratio * weight;
-                            den += weight;
-                        }
-                    }
-                    if den > 0.0 {
-                        num / den
-                    } else {
-                        1.0
-                    }
+        // Fleet-wide phase ratio: the viewer-weighted mean of every
+        // tenant's forecast ratio — a large bursting broadcast moves the
+        // shared forecast more than a small steady one.
+        let horizon = self
+            .autoscalers
+            .first()
+            .and_then(|scaler| scaler.predictive_policy())
+            .map(|pred| pred.horizon);
+        let phase_ratio = horizon.map_or(1.0, |horizon| {
+            let lag = self.epoch * 2;
+            let (mut num, mut den) = (0.0, 0.0);
+            for session in &self.sessions {
+                if let Some(ratio) = session.phase_ratio(now, horizon, lag) {
+                    let weight = (session.connected_viewers() as f64).max(1.0);
+                    num += ratio * weight;
+                    den += weight;
                 }
-                None => 1.0,
-            };
-            let period_secs = self.epoch.as_secs_f64();
-            let live_slots = self.autoscalers.len().min(slots);
-            for (slot, &fresh_kbps) in fresh.iter().enumerate().take(live_slots) {
-                let pool = *self.broker.lock().expect("broker lock").cdn().pool(slot);
-                // Score forecasts whose horizon has come due.
-                while let Some(&(due, forecast_mbps)) = self.pending_forecasts[slot].front() {
-                    if due > now {
-                        break;
-                    }
-                    self.pending_forecasts[slot].pop_front();
-                    self.forecast_errors
-                        .push((now, forecast_mbps - pool.used().as_mbps_f64()));
-                }
-                let scaler = &mut self.autoscalers[slot];
-                let decision = if predictive {
-                    let used_kbps = pool.used().as_kbps();
-                    let prev = std::mem::replace(&mut self.prev_used_kbps[slot], used_kbps);
-                    let inflow = fresh_kbps as f64 / 1_000.0 / period_secs;
-                    let trend = (used_kbps as f64 - prev as f64) / 1_000.0 / period_secs;
-                    scaler.observe_demand(inflow, trend);
-                    let decision = scaler.evaluate_predictive(now, &pool, phase_ratio);
-                    if let Some(forecast) = scaler.last_forecast() {
-                        self.pending_forecasts[slot].push_back(forecast);
-                    }
-                    decision
-                } else {
-                    scaler.evaluate(now, &pool)
-                };
-                if let Some(decision) = decision {
-                    self.broker.lock().expect("broker lock").apply_scale_slot(
-                        slot,
-                        decision.to,
-                        now,
-                    );
-                    match decision.direction {
-                        ScaleDirection::Up => self.autoscale_ups += 1,
-                        ScaleDirection::Down => self.autoscale_downs += 1,
-                    }
-                }
+            }
+            if den > 0.0 {
+                num / den
+            } else {
+                1.0
+            }
+        });
+        let mut broker = self.broker.lock().expect("broker lock");
+        for (slot, (scaler, &fresh_kbps)) in self.autoscalers.iter_mut().zip(&fresh).enumerate() {
+            let errors = &mut self.forecast_errors;
+            let decision = scaler.tick(
+                now,
+                broker.cdn().pool(slot),
+                fresh_kbps,
+                self.epoch,
+                phase_ratio,
+                |error| errors.push((now, error)),
+            );
+            if let Some(decision) = decision {
+                broker.apply_scale_slot(slot, decision.to, now);
             }
         }
 
         // 3. Per-tenant served-usage metering.
-        self.broker.lock().expect("broker lock").accrue_usage(now);
+        broker.accrue_usage(now);
+        drop(broker);
 
         // 4. Deficit-fair retry draining: split each pool's headroom
         // over the tenants with parked joins, then hand every session

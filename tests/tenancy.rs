@@ -254,9 +254,11 @@ fn tenant_mix_is_seed_deterministic_and_fair_under_even_quotas() {
 // Byte-identity of the single-tenant broker path
 // ---------------------------------------------------------------------
 
-/// The scaled-down replay pair: cheap enough for the default (debug)
-/// test profile, committed as `results/tenancy_replay_{churn,spike}.json`.
-/// The figures' `id` fields still read `churn_storm`/`spike_storm` —
+/// The scaled-down replay references: cheap enough for the default
+/// (debug) test profile, committed as
+/// `results/tenancy_replay_{churn,spike,mix}.json`.
+/// The figures' `id` fields still read `churn_storm`/`spike_storm`/
+/// `tenant_mix` —
 /// they are the same generators at reduced scale; only the file stem
 /// marks them as replay references.
 fn replay_churn_scenario() -> ChurnScenario {
@@ -298,12 +300,47 @@ fn single_tenant_broker_replays_the_committed_small_references_byte_identically(
         "churn replay diverged from the committed reference bytes"
     );
 
-    let spike = run_spike(&replay_spike_scenario()).figure.to_json();
+    let spike = run_spike(&replay_spike_scenario());
     let committed = fs::read_to_string(results_dir().join("tenancy_replay_spike.json"))
         .expect("missing results/tenancy_replay_spike.json — run the ignored regenerate test");
     assert_eq!(
-        spike, committed,
+        spike.figure.to_json(),
+        committed,
         "spike replay diverged from the committed reference bytes"
+    );
+    // The session's predictive controllers score their forecasts into
+    // the metrics, which no committed figure exports: pin them exactly.
+    assert_eq!(spike.forecasts_scored, 185);
+    assert_eq!(
+        spike.mean_abs_forecast_error_mbps.map(f64::to_bits),
+        Some(0x4084_2936_466c_5c23),
+        "spike forecast error moved: {:?}",
+        spike.mean_abs_forecast_error_mbps
+    );
+}
+
+/// The fleet barrier's shared predictive controllers, pinned: the mix
+/// figure byte for byte, plus the scale-action and forecast-scoring
+/// figures that the fleet reports beside it.
+#[test]
+fn tenant_mix_replays_its_committed_reference_and_forecast_figures() {
+    let mix = run_tenant_mix(&mix_scenario());
+    let committed = fs::read_to_string(results_dir().join("tenancy_replay_mix.json"))
+        .expect("missing results/tenancy_replay_mix.json — run the ignored regenerate test");
+    assert_eq!(
+        mix.figure.to_json(),
+        committed,
+        "tenant-mix replay diverged from the committed reference bytes"
+    );
+    assert_eq!(
+        (mix.autoscale_ups, mix.autoscale_downs, mix.forecasts_scored),
+        (18, 15, 185)
+    );
+    assert_eq!(
+        mix.mean_abs_forecast_error_mbps.map(f64::to_bits),
+        Some(0x4080_2c68_19b2_0f20),
+        "mix forecast error moved: {:?}",
+        mix.mean_abs_forecast_error_mbps
     );
 }
 
@@ -339,7 +376,7 @@ fn single_tenant_broker_replays_the_committed_ci_artifacts_byte_identically() {
 }
 
 /// Regenerates the small replay references. Run after an *intentional*
-/// behaviour change, then commit the two files:
+/// behaviour change, then commit the three files:
 /// `cargo test --release -p telecast-conformance --test tenancy -- --ignored regenerate`
 #[test]
 #[ignore = "writes the committed replay references"]
@@ -353,6 +390,11 @@ fn regenerate_small_replay_references() {
     fs::write(
         dir.join("tenancy_replay_spike.json"),
         run_spike(&replay_spike_scenario()).figure.to_json(),
+    )
+    .unwrap();
+    fs::write(
+        dir.join("tenancy_replay_mix.json"),
+        run_tenant_mix(&mix_scenario()).figure.to_json(),
     )
     .unwrap();
 }
