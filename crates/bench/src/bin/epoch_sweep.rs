@@ -3,9 +3,10 @@
 //!
 //! Runs the same deterministic workload at every grid point of
 //! `{2, 10, 30}` simulated-second epochs × `{1, 2, 4, ...}` worker
-//! threads (powers of two up to `--threads`, default 4) and exports the
-//! wall-clock, barrier-utilization, and cross-shard merge-volume series
-//! to `results/epoch_sweep.json`.
+//! threads (powers of two up to `--threads`, default 4), prints each
+//! grid point's wall clock, barrier utilization and cross-shard merge
+//! volume, and exports the merge-volume series to
+//! `results/epoch_sweep.json`.
 //!
 //! ```sh
 //! cargo run --release -p telecast-bench --bin epoch_sweep -- \
@@ -14,7 +15,9 @@
 //!
 //! The merge-volume series are deterministic for a fixed seed (and
 //! thread-count-independent — the same property the byte-identity tests
-//! pin); wall-clock and utilization are machine-local.
+//! pin), so the exported file regenerates byte for byte. Wall clock and
+//! utilization are host measurements: they go to stdout, and the total
+//! wall clock to the gitignored `results/epoch_sweep.meta.json`.
 
 use std::time::Instant;
 

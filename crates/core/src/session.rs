@@ -1651,7 +1651,6 @@ impl TelecastSession {
         // viewer, then LSC first tries to provision the stream from the
         // CDN") before giving a stream up. Each pass either stabilises or
         // removes/reroutes at least one stream, so it terminates.
-        let mut dropped: Vec<StreamId> = Vec::new();
         if self.config.layering_enabled {
             loop {
                 // Recompute layers from the current bases.
@@ -1722,11 +1721,9 @@ impl TelecastSession {
                     let v = self.viewers.get_mut(&viewer).expect("viewer exists");
                     v.ports.inbound.release(bw);
                     subs.remove(offender);
-                    dropped.push(sid);
                 }
             }
         }
-        let _ = &dropped;
         let kept: Vec<(StreamId, StreamSub)> = subs;
         let kept_streams: Vec<PrioritizedStream> = placed
             .iter()

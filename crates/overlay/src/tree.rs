@@ -16,8 +16,8 @@
 //!   failed, the request is provisioned from the CDN".
 //!
 //! The scan itself is **not** implemented as a traversal. Every member
-//! carries its depth, and two per-level indexes are maintained alongside
-//! the flat free-slot/strength indexes:
+//! carries its depth, and two level sets, indexed by depth, are kept in
+//! step with every structural change:
 //!
 //! * `level_members[d]` — the members at depth `d`, ascending
 //!   `(out_degree, C_obw, id)`, so the weakest (first-displaced) position
@@ -32,8 +32,15 @@
 //! level `d` — without ever visiting the tree. Per-attach work is
 //! `O(levels · log n)` instead of `O(n)`; [`StreamTree::attach_probes`]
 //! counts the level probes so scale tests can assert the bound.
+//!
+//! The CDN root's children are the depth-0 members, not a set of their
+//! own. The one other index is the id-ordered set of free-slot holders,
+//! which the first-fit baseline's parent choice and the saturated-tree
+//! fast path read. A member's children are a sorted vector (there are at
+//! most out-degree of them), so victims and children come out in
+//! ascending id order.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use telecast_sim::FxHashMap;
 
@@ -57,11 +64,35 @@ struct TreeNode {
     /// Total outbound capacity (`C_obw`) — Algorithm 1's tie-breaker.
     outbound_capacity: Bandwidth,
     parent: TreeParent,
-    children: BTreeSet<NodeId>,
+    /// Child ids in ascending order; never more than `out_degree`.
+    children: Vec<NodeId>,
     /// Hop count from the CDN root (direct CDN children have depth 0).
     /// Maintained on every structural change; subtree moves shift every
     /// descendant.
     depth: usize,
+}
+
+impl TreeNode {
+    /// This member's `(out_degree, C_obw, id)` level-set key.
+    fn key(&self, id: NodeId) -> StrengthKey {
+        (self.out_degree, self.outbound_capacity, id)
+    }
+
+    fn has_free_slot(&self) -> bool {
+        (self.children.len() as u32) < self.out_degree
+    }
+
+    fn add_child(&mut self, child: NodeId) {
+        if let Err(at) = self.children.binary_search(&child) {
+            self.children.insert(at, child);
+        }
+    }
+
+    fn remove_child(&mut self, child: NodeId) {
+        if let Ok(at) = self.children.binary_search(&child) {
+            self.children.remove(at);
+        }
+    }
 }
 
 /// Aggregate shape statistics of a tree (for the ablation benches).
@@ -81,6 +112,42 @@ pub struct TreeMetrics {
 /// set ordered this way is the level's weakest position, with the id as
 /// an explicit deterministic tie-breaker.
 type StrengthKey = (u32, Bandwidth, NodeId);
+
+/// Strength-ordered key sets indexed by depth. Trailing empty levels are
+/// trimmed, so the last index is the deepest non-empty level; an inner
+/// level may be empty.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Levels(Vec<BTreeSet<StrengthKey>>);
+
+impl Levels {
+    fn insert(&mut self, depth: usize, key: StrengthKey) {
+        if self.0.len() <= depth {
+            self.0.resize_with(depth + 1, BTreeSet::new);
+        }
+        self.0[depth].insert(key);
+    }
+
+    fn remove(&mut self, depth: usize, key: &StrengthKey) {
+        if let Some(set) = self.0.get_mut(depth) {
+            set.remove(key);
+        }
+        while self.0.last().is_some_and(BTreeSet::is_empty) {
+            self.0.pop();
+        }
+    }
+
+    /// Moves `key` from level `from` to level `to` (inserting first, so a
+    /// downward move never trims and re-grows the deepest level).
+    fn relocate(&mut self, from: usize, to: usize, key: StrengthKey) {
+        self.insert(to, key);
+        self.remove(from, &key);
+    }
+
+    /// The weakest entry at `depth`.
+    fn first(&self, depth: usize) -> Option<&StrengthKey> {
+        self.0.get(depth).and_then(BTreeSet::first)
+    }
+}
 
 /// The planner's verdict for one attach request.
 #[derive(Debug, Clone, Copy)]
@@ -102,22 +169,16 @@ enum AttachPlan {
 pub struct StreamTree {
     stream: StreamId,
     nodes: FxHashMap<NodeId, TreeNode>,
-    cdn_children: BTreeSet<NodeId>,
-    /// Members with at least one free forwarding slot, maintained on
-    /// every attach/detach/remove so the per-join supply checks are
-    /// O(log n) lookups instead of full scans.
+    /// Members with at least one free forwarding slot, in id order: the
+    /// first-fit baseline's parent choice, the O(1) supply check and the
+    /// saturated-tree fast path.
     free_slots: BTreeSet<NodeId>,
-    /// Every member keyed by ascending `(out_degree, C_obw, id)`; the
-    /// first entry is the weakest member, which bounds what a joiner can
-    /// displace and lets a saturated tree reject weak joiners in
-    /// O(log n).
-    strengths: BTreeSet<StrengthKey>,
     /// Members per depth, ascending strength — the displacement half of
-    /// the attach planner. Levels with no member are absent.
-    level_members: BTreeMap<usize, BTreeSet<StrengthKey>>,
+    /// the attach planner. Depth 0 holds the CDN root's children.
+    level_members: Levels,
     /// Free-slot holders per depth, ascending strength — the free-slot
-    /// half of the attach planner. Levels with no holder are absent.
-    level_free: BTreeMap<usize, BTreeSet<StrengthKey>>,
+    /// half of the attach planner.
+    level_free: Levels,
     /// Cumulative level probes performed by the attach planner; scale
     /// tests assert this stays far below members × joins (i.e. no O(n)
     /// per-join traversal was reintroduced).
@@ -140,11 +201,9 @@ impl StreamTree {
         StreamTree {
             stream,
             nodes: FxHashMap::default(),
-            cdn_children: BTreeSet::new(),
             free_slots: BTreeSet::new(),
-            strengths: BTreeSet::new(),
-            level_members: BTreeMap::new(),
-            level_free: BTreeMap::new(),
+            level_members: Levels::default(),
+            level_free: Levels::default(),
             attach_probes: 0,
             depth_shift_ops: 0,
         }
@@ -175,7 +234,8 @@ impl StreamTree {
         self.nodes.get(&viewer).map(|n| n.parent)
     }
 
-    /// The viewer's children (empty if not a member).
+    /// The viewer's children in ascending id order (empty if not a
+    /// member).
     pub fn children_of(&self, viewer: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes
             .get(&viewer)
@@ -183,9 +243,11 @@ impl StreamTree {
             .flat_map(|n| n.children.iter().copied())
     }
 
-    /// Direct children of the CDN root.
+    /// Direct children of the CDN root, in ascending id order.
     pub fn cdn_children(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.cdn_children.iter().copied()
+        let mut roots = self.cdn_fragment_roots();
+        roots.sort_unstable();
+        roots.into_iter()
     }
 
     /// The viewer's granted out-degree, if a member.
@@ -234,61 +296,24 @@ impl StreamTree {
         self.nodes.keys().copied()
     }
 
-    /// The member's `(out_degree, C_obw, id)` index key.
-    fn strength_key(&self, viewer: NodeId) -> StrengthKey {
-        let n = &self.nodes[&viewer];
-        (n.out_degree, n.outbound_capacity, viewer)
+    /// Adds a new member and indexes it at its depth.
+    fn enter(&mut self, viewer: NodeId, node: TreeNode) {
+        self.level_members.insert(node.depth, node.key(viewer));
+        self.nodes.insert(viewer, node);
+        self.refresh_slot(viewer);
     }
 
-    /// Adds `viewer` (whose `depth` must already be correct) to the
-    /// per-level member index.
-    fn level_insert(&mut self, viewer: NodeId) {
-        let depth = self.nodes[&viewer].depth;
-        let key = self.strength_key(viewer);
-        self.level_members.entry(depth).or_default().insert(key);
-    }
-
-    /// Removes `viewer` from both per-level indexes at its current depth.
-    fn level_remove(&mut self, viewer: NodeId) {
-        let depth = self.nodes[&viewer].depth;
-        let key = self.strength_key(viewer);
-        if let Some(set) = self.level_members.get_mut(&depth) {
-            set.remove(&key);
-            if set.is_empty() {
-                self.level_members.remove(&depth);
-            }
-        }
-        self.level_free_remove(depth, &key);
-    }
-
-    /// Removes `key` from the level-`depth` free-slot index, pruning the
-    /// level when it empties.
-    fn level_free_remove(&mut self, depth: usize, key: &StrengthKey) {
-        if let Some(set) = self.level_free.get_mut(&depth) {
-            set.remove(key);
-            if set.is_empty() {
-                self.level_free.remove(&depth);
-            }
-        }
-    }
-
-    /// Re-derives `viewer`'s free-slot index entries (flat and per-level)
-    /// from its current child count; call after any change to its
-    /// children or depth.
+    /// Re-derives `viewer`'s free-slot entries (flat and per-level) from
+    /// its current child count; call after any change to its children.
     fn refresh_slot(&mut self, viewer: NodeId) {
-        let Some(n) = self.nodes.get(&viewer) else {
-            self.free_slots.remove(&viewer);
-            return;
-        };
-        let has_free = (n.children.len() as u32) < n.out_degree;
-        let depth = n.depth;
-        let key = (n.out_degree, n.outbound_capacity, viewer);
-        if has_free {
+        let n = &self.nodes[&viewer];
+        let key = n.key(viewer);
+        if n.has_free_slot() {
             self.free_slots.insert(viewer);
-            self.level_free.entry(depth).or_default().insert(key);
+            self.level_free.insert(n.depth, key);
         } else {
             self.free_slots.remove(&viewer);
-            self.level_free_remove(depth, &key);
+            self.level_free.remove(n.depth, &key);
         }
     }
 
@@ -297,46 +322,69 @@ impl StreamTree {
         let mut out = vec![root];
         let mut i = 0;
         while i < out.len() {
-            out.extend(self.nodes[&out[i]].children.iter().copied());
+            out.extend_from_slice(&self.nodes[&out[i]].children);
             i += 1;
         }
         out
     }
 
     /// Shifts the depth of every member of `root`'s subtree by `delta`,
-    /// keeping the level indexes in sync. O(subtree size); subtree moves
-    /// (displacement, victim re-rooting) are the only places depth can
-    /// change for more than one node.
+    /// moving each one's level entries. O(subtree size), one node lookup
+    /// per member; a shift changes no child count, so the id-ordered
+    /// free-slot set is untouched. Subtree moves (displacement, victim
+    /// re-rooting) are the only places depth can change for more than
+    /// one node.
     fn shift_subtree(&mut self, root: NodeId, delta: isize) {
         if delta == 0 {
             return;
         }
-        for v in self.subtree_of(root) {
-            self.depth_shift_ops += 1;
-            self.level_remove(v);
-            {
-                let n = self.nodes.get_mut(&v).expect("subtree member");
-                n.depth = (n.depth as isize + delta) as usize;
+        let mut queue = vec![root];
+        let mut i = 0;
+        while let Some(&v) = queue.get(i) {
+            i += 1;
+            let n = self.nodes.get_mut(&v).expect("subtree member");
+            let (from, key) = (n.depth, n.key(v));
+            n.depth = (from as isize + delta) as usize;
+            self.level_members.relocate(from, n.depth, key);
+            if n.has_free_slot() {
+                self.level_free.relocate(from, n.depth, key);
             }
-            self.level_insert(v);
-            self.refresh_slot(v);
+            queue.extend_from_slice(&n.children);
+        }
+        self.depth_shift_ops += queue.len() as u64;
+    }
+
+    /// Takes a parked subtree (hung at depth 0) out of the level sets, so
+    /// the planner offers none of its members or slots, and counts one
+    /// depth update per member.
+    fn hide(&mut self, subtree: &[NodeId]) {
+        for &v in subtree {
+            let n = &self.nodes[&v];
+            let key = n.key(v);
+            self.level_members.remove(n.depth, &key);
+            if n.has_free_slot() {
+                self.level_free.remove(n.depth, &key);
+            }
+        }
+        self.depth_shift_ops += subtree.len() as u64;
+    }
+
+    /// Puts a hidden subtree back into the level sets, hung `offset`
+    /// levels below the CDN root.
+    fn rehang(&mut self, subtree: &[NodeId], offset: usize) {
+        for &v in subtree {
+            let n = self.nodes.get_mut(&v).expect("subtree member");
+            n.depth += offset;
+            let key = n.key(v);
+            self.level_members.insert(n.depth, key);
+            if n.has_free_slot() {
+                self.level_free.insert(n.depth, key);
+            }
         }
     }
 
-    /// Whether a joiner of `(deg, cap)` is lexicographically stronger
-    /// than the weakest member other than `exclude` — the necessary
-    /// condition for any displacement to exist. O(1) for `exclude =
-    /// None` (first index entry), O(log n)-ish otherwise.
-    fn beats_weakest(&self, deg: u32, cap: Bandwidth, exclude: Option<NodeId>) -> bool {
-        self.strengths
-            .iter()
-            .find(|&&(_, _, id)| Some(id) != exclude)
-            .map(|&(d, c, _)| deg > d || (deg == d && cap > c))
-            .unwrap_or(false)
-    }
-
     /// The depth-aware attach planner: reproduces Algorithm 1's BFS
-    /// decision from the per-level indexes alone.
+    /// decision from the level sets alone.
     ///
     /// Walking depths shallow-to-deep, each step probes (a) the first
     /// free-slot holder one level up — the BFS offers free child slots of
@@ -351,25 +399,17 @@ impl StreamTree {
         outbound_capacity: Bandwidth,
         can_displace: bool,
     ) -> Option<AttachPlan> {
-        let deepest = match self.level_members.last_key_value() {
-            Some((&d, _)) => d,
-            None => return None,
-        };
+        let deepest = self.level_members.0.len().checked_sub(1)?;
         for d in 0..=deepest + 1 {
             self.attach_probes += 1;
-            if d > 0 {
-                if let Some(set) = self.level_free.get(&(d - 1)) {
-                    if let Some(&(_, _, under)) = set.first() {
-                        return Some(AttachPlan::Free { under });
-                    }
-                }
+            if let Some(&(_, _, under)) = d.checked_sub(1).and_then(|up| self.level_free.first(up))
+            {
+                return Some(AttachPlan::Free { under });
             }
             if can_displace {
-                if let Some(set) = self.level_members.get(&d) {
-                    if let Some(&(wdeg, wcap, victim)) = set.first() {
-                        if out_degree > wdeg || (out_degree == wdeg && outbound_capacity > wcap) {
-                            return Some(AttachPlan::Displace { victim });
-                        }
+                if let Some(&(wdeg, wcap, victim)) = self.level_members.first(d) {
+                    if out_degree > wdeg || (out_degree == wdeg && outbound_capacity > wcap) {
+                        return Some(AttachPlan::Displace { victim });
                     }
                 }
             }
@@ -399,13 +439,13 @@ impl StreamTree {
             "viewer {viewer} already in tree for {}",
             self.stream
         );
-        // Saturated fast path: with no free slot anywhere and no member
-        // weaker than the joiner, the planner below can only fail —
-        // answer in O(log n). (A zero-degree joiner cannot displace at
-        // all; see the rule below.)
-        if self.free_slots.is_empty()
-            && !(out_degree > 0 && self.beats_weakest(out_degree, outbound_capacity, None))
-        {
+        // Saturated fast path. With no free slot anywhere, every member
+        // has exactly out-degree children, so the out-degrees sum to the
+        // member count less the CDN children: some member has degree 0,
+        // and any joiner with a slot of its own is strictly stronger.
+        // Only a zero-degree joiner (which cannot displace; see below)
+        // is sure to find no position, and is answered without probing.
+        if out_degree == 0 && self.free_slots.is_empty() {
             return None;
         }
         // Displacement makes the victim a child of the joiner, so the
@@ -485,7 +525,7 @@ impl StreamTree {
 
     /// Re-runs degree push-down for an *existing* member (a victim parked
     /// at the CDN root): detaches it, plans a position over the remaining
-    /// tree (its own subtree is hidden from the level indexes during the
+    /// tree (its own subtree is hidden from the level sets during the
     /// search, so no cycle can form), and re-attaches it — keeping its
     /// children.
     ///
@@ -497,90 +537,53 @@ impl StreamTree {
     /// Panics if `viewer` is not a member or not currently a CDN child.
     pub fn reposition_from_cdn(&mut self, viewer: NodeId) -> Option<TreeParent> {
         assert!(
-            self.cdn_children.contains(&viewer),
+            self.parent_of(viewer) == Some(TreeParent::Cdn),
             "reposition requires {viewer} to be parked at the CDN"
         );
-        // Detach: hide the viewer's subtree from the planner indexes so
-        // neither its free slots nor its members are candidates (the
-        // viewer cannot become its own descendant).
-        self.cdn_children.remove(&viewer);
+        // Detach: hide the viewer's subtree from the planner so neither
+        // its free slots nor its members are candidates (the viewer
+        // cannot become its own descendant).
         let subtree = self.subtree_of(viewer);
-        self.depth_shift_ops += subtree.len() as u64;
-        for &v in &subtree {
-            self.level_remove(v);
-        }
-        let (deg, cap, has_spare_slot) = {
-            let n = &self.nodes[&viewer];
-            (
-                n.out_degree,
-                n.outbound_capacity,
-                (n.children.len() as u32) < n.out_degree,
-            )
-        };
+        self.hide(&subtree);
+        let n = &self.nodes[&viewer];
         // Displacement makes the victim a child of the repositioned
         // viewer, so the viewer needs a spare slot of its own (unlike a
         // fresh join, it may carry children).
-        match self.plan_attach(deg, cap, has_spare_slot) {
+        match self.plan_attach(n.out_degree, n.outbound_capacity, n.has_free_slot()) {
             None => {
-                // No position: restore the CDN attachment and the hidden
-                // index entries (depths unchanged).
-                for &v in &subtree {
-                    self.level_insert(v);
-                    self.refresh_slot(v);
-                }
-                self.cdn_children.insert(viewer);
+                // No position: the subtree stays at the CDN root.
+                self.rehang(&subtree, 0);
                 None
             }
             Some(AttachPlan::Free { under }) => {
-                let new_depth = self.nodes[&under].depth + 1;
-                self.nodes
-                    .get_mut(&under)
-                    .expect("member")
-                    .children
-                    .insert(viewer);
+                let unode = self.nodes.get_mut(&under).expect("member");
+                unode.add_child(viewer);
+                let new_depth = unode.depth + 1;
                 self.nodes.get_mut(&viewer).expect("member").parent = TreeParent::Viewer(under);
                 // The whole subtree hung at depth 0; it now hangs at
                 // `new_depth`.
+                self.rehang(&subtree, new_depth);
                 self.depth_shift_ops += subtree.len() as u64;
-                for &v in &subtree {
-                    self.nodes.get_mut(&v).expect("member").depth += new_depth;
-                    self.level_insert(v);
-                    self.refresh_slot(v);
-                }
                 self.refresh_slot(under);
                 Some(TreeParent::Viewer(under))
             }
             Some(AttachPlan::Displace { victim: z }) => {
-                let z_depth = self.nodes[&z].depth;
-                let old_parent = self.nodes[&z].parent;
-                match old_parent {
-                    TreeParent::Cdn => {
-                        self.cdn_children.remove(&z);
-                        self.cdn_children.insert(viewer);
-                    }
-                    TreeParent::Viewer(p) => {
-                        let pnode = self.nodes.get_mut(&p).expect("member");
-                        pnode.children.remove(&z);
-                        pnode.children.insert(viewer);
-                    }
+                let (z_depth, old_parent) = (self.nodes[&z].depth, self.nodes[&z].parent);
+                if let TreeParent::Viewer(p) = old_parent {
+                    let pnode = self.nodes.get_mut(&p).expect("member");
+                    pnode.remove_child(z);
+                    pnode.add_child(viewer);
                 }
                 self.nodes.get_mut(&z).expect("member").parent = TreeParent::Viewer(viewer);
-                {
-                    let vnode = self.nodes.get_mut(&viewer).expect("member");
-                    vnode.parent = old_parent;
-                    vnode.children.insert(z);
-                }
+                let vnode = self.nodes.get_mut(&viewer).expect("member");
+                vnode.parent = old_parent;
+                vnode.add_child(z);
                 // z and its subtree slide one level down under the
                 // repositioned viewer; the viewer's subtree moves from
-                // the root to z's old position.
+                // the root to z's old position. z's old parent swapped z
+                // for the viewer (count unchanged); the viewer gained z.
                 self.shift_subtree(z, 1);
-                for &v in &subtree {
-                    self.nodes.get_mut(&v).expect("member").depth += z_depth;
-                    self.level_insert(v);
-                    self.refresh_slot(v);
-                }
-                // z's old parent swapped z for the viewer (count
-                // unchanged); the viewer gained z.
+                self.rehang(&subtree, z_depth);
                 self.depth_shift_ops += subtree.len() as u64;
                 self.refresh_slot(viewer);
                 Some(old_parent)
@@ -601,35 +604,24 @@ impl StreamTree {
             self.stream
         );
         let depth = match parent {
-            TreeParent::Cdn => {
-                self.cdn_children.insert(viewer);
-                0
-            }
+            TreeParent::Cdn => 0,
             TreeParent::Viewer(p) => {
-                let pdepth = self.nodes[&p].depth;
                 let pnode = self.nodes.get_mut(&p).expect("parent is a member");
-                debug_assert!(
-                    (pnode.children.len() as u32) < pnode.out_degree,
-                    "attach exceeds parent out-degree"
-                );
-                pnode.children.insert(viewer);
-                pdepth + 1
+                debug_assert!(pnode.has_free_slot(), "attach exceeds parent out-degree");
+                pnode.add_child(viewer);
+                pnode.depth + 1
             }
         };
-        self.nodes.insert(
+        self.enter(
             viewer,
             TreeNode {
                 out_degree,
                 outbound_capacity,
                 parent,
-                children: BTreeSet::new(),
+                children: Vec::new(),
                 depth,
             },
         );
-        self.strengths
-            .insert((out_degree, outbound_capacity, viewer));
-        self.level_insert(viewer);
-        self.refresh_slot(viewer);
         if let TreeParent::Viewer(p) = parent {
             self.refresh_slot(p);
         }
@@ -644,83 +636,65 @@ impl StreamTree {
         outbound_capacity: Bandwidth,
         z: NodeId,
     ) {
-        let old_parent = self.nodes[&z].parent;
-        let z_depth = self.nodes[&z].depth;
-        match old_parent {
-            TreeParent::Cdn => {
-                self.cdn_children.remove(&z);
-                self.cdn_children.insert(viewer);
-            }
-            TreeParent::Viewer(p) => {
-                let pnode = self.nodes.get_mut(&p).expect("parent is a member");
-                pnode.children.remove(&z);
-                pnode.children.insert(viewer);
-            }
+        let zn = self.nodes.get_mut(&z).expect("z is a member");
+        let (old_parent, z_depth) = (zn.parent, zn.depth);
+        zn.parent = TreeParent::Viewer(viewer);
+        if let TreeParent::Viewer(p) = old_parent {
+            let pnode = self.nodes.get_mut(&p).expect("parent is a member");
+            pnode.remove_child(z);
+            pnode.add_child(viewer);
         }
-        self.nodes.get_mut(&z).expect("z is a member").parent = TreeParent::Viewer(viewer);
-        self.nodes.insert(
+        // z swapped places with the joiner, so its old parent's child
+        // count (and z's own) are unchanged; only the joiner is new, and
+        // z's subtree slides one level down.
+        self.enter(
             viewer,
             TreeNode {
                 out_degree,
                 outbound_capacity,
                 parent: old_parent,
-                children: BTreeSet::from([z]),
+                children: vec![z],
                 depth: z_depth,
             },
         );
-        // z swapped places with the joiner, so its old parent's child
-        // count (and z's own) are unchanged; only the joiner is new, and
-        // z's subtree slides one level down.
-        self.strengths
-            .insert((out_degree, outbound_capacity, viewer));
-        self.level_insert(viewer);
         self.shift_subtree(z, 1);
-        self.refresh_slot(viewer);
     }
 
     /// Removes `viewer` from the tree. Its direct children become
     /// **victims**: they are detached (each keeping its own subtree) and
-    /// returned so the caller can re-provision them (paper §VI recovers
-    /// them from the CDN at their current delay layer).
+    /// returned, in ascending id order, so the caller can re-provision
+    /// them (paper §VI recovers them from the CDN at their current delay
+    /// layer).
     ///
     /// # Panics
     ///
     /// Panics if `viewer` is not a member.
     pub fn remove(&mut self, viewer: NodeId) -> Vec<NodeId> {
-        // Clear the index entries while the node is still present.
-        if self.contains(viewer) {
-            self.level_remove(viewer);
-        }
         let node = self
             .nodes
             .remove(&viewer)
             .expect("removing a viewer that is not a tree member");
-        self.strengths
-            .remove(&(node.out_degree, node.outbound_capacity, viewer));
-        self.free_slots.remove(&viewer);
-        match node.parent {
-            TreeParent::Cdn => {
-                self.cdn_children.remove(&viewer);
-            }
-            TreeParent::Viewer(p) => {
-                if let Some(pnode) = self.nodes.get_mut(&p) {
-                    pnode.children.remove(&viewer);
-                }
-                self.refresh_slot(p);
-            }
+        let key = node.key(viewer);
+        self.level_members.remove(node.depth, &key);
+        if node.has_free_slot() {
+            self.level_free.remove(node.depth, &key);
         }
-        let victims: Vec<NodeId> = node.children.iter().copied().collect();
+        self.free_slots.remove(&viewer);
+        if let TreeParent::Viewer(p) = node.parent {
+            self.nodes.get_mut(&p).expect("member").remove_child(viewer);
+            self.refresh_slot(p);
+        }
         // Victims keep their subtrees but have no parent until the caller
         // re-attaches them; mark them as CDN children so the tree stays
         // consistent (the caller's recovery either confirms the CDN serve
         // or re-runs push-down). Each victim subtree re-roots at depth 0.
-        for &v in &victims {
-            let old_depth = self.nodes[&v].depth;
-            self.nodes.get_mut(&v).expect("child is a member").parent = TreeParent::Cdn;
-            self.cdn_children.insert(v);
+        for &v in &node.children {
+            let vnode = self.nodes.get_mut(&v).expect("child is a member");
+            vnode.parent = TreeParent::Cdn;
+            let old_depth = vnode.depth;
             self.shift_subtree(v, -(old_depth as isize));
         }
-        victims
+        node.children
     }
 
     /// Moves an existing member under the CDN (used when recovering a
@@ -730,19 +704,13 @@ impl StreamTree {
     ///
     /// Panics if `viewer` is not a member.
     pub fn reparent_to_cdn(&mut self, viewer: NodeId) {
-        let node = self.nodes.get(&viewer).expect("viewer is a member");
-        let old_depth = node.depth;
-        if let TreeParent::Viewer(p) = node.parent {
-            if let Some(pnode) = self.nodes.get_mut(&p) {
-                pnode.children.remove(&viewer);
-            }
+        let node = self.nodes.get_mut(&viewer).expect("viewer is a member");
+        let (old_parent, old_depth) = (node.parent, node.depth);
+        node.parent = TreeParent::Cdn;
+        if let TreeParent::Viewer(p) = old_parent {
+            self.nodes.get_mut(&p).expect("member").remove_child(viewer);
             self.refresh_slot(p);
         }
-        self.nodes
-            .get_mut(&viewer)
-            .expect("viewer is a member")
-            .parent = TreeParent::Cdn;
-        self.cdn_children.insert(viewer);
         self.shift_subtree(viewer, -(old_depth as isize));
     }
 
@@ -754,10 +722,8 @@ impl StreamTree {
     /// fragments, each holding a CDN serve; this is the prune pass's
     /// work list.
     pub fn cdn_fragment_roots(&self) -> Vec<NodeId> {
-        self.level_members
-            .get(&0)
-            .map(|set| set.iter().map(|&(_, _, id)| id).collect())
-            .unwrap_or_default()
+        let roots = self.level_members.0.first().into_iter().flatten();
+        roots.map(|&(_, _, id)| id).collect()
     }
 
     /// The prune/merge pass: folds CDN-rooted fragments back under P2P
@@ -784,20 +750,20 @@ impl StreamTree {
         merged
     }
 
-    /// Shape statistics, computed from the per-level member index in
-    /// O(levels) — no traversal.
+    /// Shape statistics, computed from the level sets in O(levels) — no
+    /// traversal.
     pub fn metrics(&self) -> TreeMetrics {
-        let mut max_depth = 0usize;
-        let mut total_depth = 0usize;
-        for (&d, set) in &self.level_members {
-            max_depth = d; // keys iterate ascending; the last one sticks
-            total_depth += d * set.len();
-        }
+        let levels = &self.level_members.0;
+        let total_depth: usize = levels
+            .iter()
+            .enumerate()
+            .map(|(d, set)| d * set.len())
+            .sum();
         let members = self.nodes.len();
         TreeMetrics {
             members,
-            cdn_children: self.cdn_children.len(),
-            max_depth,
+            cdn_children: levels.first().map_or(0, BTreeSet::len),
+            max_depth: levels.len().saturating_sub(1),
             mean_depth: if members == 0 {
                 0.0
             } else {
@@ -808,29 +774,25 @@ impl StreamTree {
 
     /// Verifies structural invariants; used by tests and debug assertions.
     ///
-    /// Checks: parent/child symmetry, out-degree bounds, acyclicity,
-    /// reachability of every member from the CDN root, and that all five
-    /// maintained indexes (free slots, strengths, stored depths, level
-    /// members, level free-slots) match a from-scratch recomputation.
+    /// Checks: parent/child symmetry, ascending child order, out-degree
+    /// bounds, acyclicity, and reachability of every member from the CDN
+    /// root; that the stored depths, both level sets and the free-slot
+    /// set match a from-scratch recomputation; and that the CDN root's
+    /// children, derived from the depth-0 level, match theirs.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let mut cdn_roots: Vec<NodeId> = self
+            .nodes
+            .iter()
+            .filter(|(_, n)| n.parent == TreeParent::Cdn)
+            .map(|(&id, _)| id)
+            .collect();
+        cdn_roots.sort_unstable();
         let mut reachable: BTreeSet<NodeId> = BTreeSet::new();
-        let mut depths: FxHashMap<NodeId, usize> = FxHashMap::default();
-        let mut stack: Vec<(NodeId, usize)> = Vec::new();
-        for &c in &self.cdn_children {
-            let node = self
-                .nodes
-                .get(&c)
-                .ok_or_else(|| format!("cdn child {c} unknown"))?;
-            if node.parent != TreeParent::Cdn {
-                return Err(format!("cdn child {c} has non-CDN parent"));
-            }
-            stack.push((c, 0));
-        }
+        let mut stack: Vec<(NodeId, usize)> = cdn_roots.iter().map(|&c| (c, 0)).collect();
         while let Some((v, depth)) = stack.pop() {
             if !reachable.insert(v) {
                 return Err(format!("cycle detected at {v}"));
             }
-            depths.insert(v, depth);
             let node = &self.nodes[&v];
             if node.children.len() as u32 > node.out_degree {
                 return Err(format!(
@@ -838,6 +800,9 @@ impl StreamTree {
                     node.children.len(),
                     node.out_degree
                 ));
+            }
+            if !node.children.windows(2).all(|w| w[0] < w[1]) {
+                return Err(format!("children of {v} are not in ascending id order"));
             }
             if node.depth != depth {
                 return Err(format!(
@@ -863,45 +828,39 @@ impl StreamTree {
             ));
         }
         // The maintained indexes must match a from-scratch recomputation.
-        let expected_free: BTreeSet<NodeId> = self
-            .nodes
-            .iter()
-            .filter(|(_, n)| (n.children.len() as u32) < n.out_degree)
-            .map(|(&id, _)| id)
-            .collect();
+        let mut expected_free = BTreeSet::new();
+        let mut expected_levels = Levels::default();
+        let mut expected_level_free = Levels::default();
+        for (&id, n) in &self.nodes {
+            expected_levels.insert(n.depth, n.key(id));
+            if n.has_free_slot() {
+                expected_free.insert(id);
+                expected_level_free.insert(n.depth, n.key(id));
+            }
+        }
         if self.free_slots != expected_free {
             return Err(format!(
-                "free-slot index out of sync: {:?} vs {:?}",
-                self.free_slots, expected_free
+                "free-slot index out of sync: {:?} vs {expected_free:?}",
+                self.free_slots
             ));
-        }
-        let expected_strengths: BTreeSet<StrengthKey> = self
-            .nodes
-            .iter()
-            .map(|(&id, n)| (n.out_degree, n.outbound_capacity, id))
-            .collect();
-        if self.strengths != expected_strengths {
-            return Err("strength index out of sync with members".into());
-        }
-        let mut expected_levels: BTreeMap<usize, BTreeSet<StrengthKey>> = BTreeMap::new();
-        let mut expected_level_free: BTreeMap<usize, BTreeSet<StrengthKey>> = BTreeMap::new();
-        for (&id, n) in &self.nodes {
-            let key = (n.out_degree, n.outbound_capacity, id);
-            expected_levels.entry(n.depth).or_default().insert(key);
-            if (n.children.len() as u32) < n.out_degree {
-                expected_level_free.entry(n.depth).or_default().insert(key);
-            }
         }
         if self.level_members != expected_levels {
             return Err(format!(
-                "level member index out of sync: {:?} vs {:?}",
-                self.level_members, expected_levels
+                "level member sets out of sync: {:?} vs {expected_levels:?}",
+                self.level_members
             ));
         }
         if self.level_free != expected_level_free {
             return Err(format!(
-                "level free-slot index out of sync: {:?} vs {:?}",
-                self.level_free, expected_level_free
+                "level free-slot sets out of sync: {:?} vs {expected_level_free:?}",
+                self.level_free
+            ));
+        }
+        // So must the children derived from the depth-0 level.
+        let cdn: Vec<NodeId> = self.cdn_children().collect();
+        if cdn != cdn_roots {
+            return Err(format!(
+                "CDN children out of sync: {cdn:?} vs {cdn_roots:?}"
             ));
         }
         Ok(())

@@ -1,7 +1,8 @@
 //! Property tests of the degree push-down trees: structural invariants
 //! hold under arbitrary join/leave sequences, and the push-down edge
 //! property (parents are never weaker than their children) holds for
-//! join-only histories.
+//! join-only histories. A golden test pins the exact outcome of a seeded
+//! sequence of every mutating operation.
 
 use proptest::prelude::*;
 use telecast_media::{SiteId, StreamId};
@@ -284,6 +285,8 @@ proptest! {
                 let v = present.swap_remove(idx);
                 tree.remove(v);
             }
+            prop_assert!(tree.check_invariants().is_ok(),
+                "{:?}", tree.check_invariants());
         }
         let before: std::collections::BTreeSet<NodeId> = tree.members().collect();
         let mut passes = 0usize;
@@ -336,4 +339,181 @@ proptest! {
             prop_assert!(tree.depth_of(v).unwrap() < count);
         }
     }
+}
+
+/// FNV-1a-style fold of one 64-bit word into a running hash.
+fn fold(hash: &mut u64, word: u64) {
+    *hash = (*hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+}
+
+fn fold_parent(hash: &mut u64, parent: Option<TreeParent>) {
+    fold(
+        hash,
+        match parent {
+            None => u64::MAX,
+            Some(TreeParent::Cdn) => u64::MAX - 1,
+            Some(TreeParent::Viewer(p)) => p.index() as u64,
+        },
+    );
+}
+
+/// A splitmix64 stream: the golden sequence must not depend on any
+/// generator outside this file.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Runs a seeded sequence of every mutating tree operation over mixed
+/// degrees and folds each return value, in order, into one hash — plus
+/// the final counters, shape metrics, CDN-child order and per-member
+/// structure. Any change in a placement decision, a victim order, a
+/// fragment-root order or a counter moves the hash.
+fn golden_tree_hash(seed: u64, steps: usize, degrees: &[u32], caps: usize) -> u64 {
+    let pool = ids(200);
+    let mut rng = Mix(seed);
+    let mut tree = StreamTree::new(stream());
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for _ in 0..steps {
+        let mut members: Vec<NodeId> = tree.members().collect();
+        members.sort_unstable();
+        let outsiders: Vec<NodeId> = pool
+            .iter()
+            .copied()
+            .filter(|&v| !tree.contains(v))
+            .collect();
+        let deg = degrees[rng.below(degrees.len())];
+        let cap = Bandwidth::from_kbps(500 * rng.below(caps) as u64);
+        let roll = rng.below(100);
+        fold(&mut hash, roll as u64);
+        match roll {
+            0..=39 if !outsiders.is_empty() => {
+                let v = outsiders[rng.below(outsiders.len())];
+                let got = tree.insert(v, deg, cap);
+                fold_parent(&mut hash, got);
+                if got.is_none() {
+                    tree.attach_to_cdn(v, deg, cap);
+                }
+            }
+            40..=47 if !outsiders.is_empty() => {
+                tree.attach_to_cdn(outsiders[rng.below(outsiders.len())], deg, cap);
+            }
+            48..=55 if !outsiders.is_empty() => {
+                let v = outsiders[rng.below(outsiders.len())];
+                // Alternate the first-fit and the random baselines' parent
+                // choices.
+                let holders: Vec<NodeId> = members
+                    .iter()
+                    .copied()
+                    .filter(|&m| tree.free_slots_of(m) > 0)
+                    .collect();
+                let parent = if roll % 2 == 0 {
+                    tree.first_free_slot_holder()
+                } else {
+                    (!holders.is_empty()).then(|| holders[rng.below(holders.len())])
+                };
+                fold_parent(&mut hash, parent.map(TreeParent::Viewer));
+                if let Some(p) = parent {
+                    tree.attach_under(v, deg, cap, p);
+                }
+            }
+            56..=74 if !members.is_empty() => {
+                let victims = tree.remove(members[rng.below(members.len())]);
+                fold(&mut hash, victims.len() as u64);
+                for victim in victims {
+                    fold(&mut hash, victim.index() as u64);
+                }
+            }
+            75..=84 => {
+                let cdn: Vec<NodeId> = tree.cdn_children().collect();
+                if !cdn.is_empty() {
+                    let got = tree.reposition_from_cdn(cdn[rng.below(cdn.len())]);
+                    fold_parent(&mut hash, got);
+                }
+            }
+            85..=92 if !members.is_empty() => {
+                tree.reparent_to_cdn(members[rng.below(members.len())]);
+            }
+            _ => {
+                for root in tree.cdn_fragment_roots() {
+                    fold(&mut hash, root.index() as u64);
+                }
+                for (root, parent) in tree.merge_cdn_fragments() {
+                    fold(&mut hash, root.index() as u64);
+                    fold_parent(&mut hash, Some(parent));
+                }
+            }
+        }
+        if let Err(err) = tree.check_invariants() {
+            panic!("seed {seed}: {err}");
+        }
+    }
+    fold(&mut hash, tree.attach_probes());
+    fold(&mut hash, tree.depth_shift_ops());
+    let m = tree.metrics();
+    fold(&mut hash, m.members as u64);
+    fold(&mut hash, m.cdn_children as u64);
+    fold(&mut hash, m.max_depth as u64);
+    fold(&mut hash, m.mean_depth.to_bits());
+    for c in tree.cdn_children() {
+        fold(&mut hash, c.index() as u64);
+    }
+    let mut members: Vec<NodeId> = tree.members().collect();
+    members.sort_unstable();
+    for m in members {
+        fold(&mut hash, m.index() as u64);
+        fold_parent(&mut hash, tree.parent_of(m));
+        fold(&mut hash, tree.depth_of(m).unwrap_or(usize::MAX) as u64);
+        fold(&mut hash, tree.free_slots_of(m) as u64);
+        for c in tree.children_of(m) {
+            fold(&mut hash, c.index() as u64);
+        }
+    }
+    fold_parent(
+        &mut hash,
+        tree.first_free_slot_holder().map(TreeParent::Viewer),
+    );
+    hash
+}
+
+/// Pins every decision the tree makes: a rewrite of its internals must
+/// reproduce these hashes exactly (they were recorded before the level
+/// indexes moved to depth-indexed vectors and children to sorted
+/// vectors). The sparse mix, mostly zero-degree viewers over two
+/// capacities, keeps the tree saturated and full of equal-strength
+/// members, so it also pins the no-free-slot fast path's tie rule.
+#[test]
+fn golden_operation_sequence_is_unchanged() {
+    let mixed: Vec<u64> = (1..=4)
+        .map(|seed| golden_tree_hash(seed, 400, &[0, 0, 1, 1, 2, 3, 4, 6], 12))
+        .collect();
+    assert_eq!(
+        mixed,
+        vec![
+            0xe0b9_2477_1a84_0052,
+            0xd69e_c614_f577_89e1,
+            0xef3d_1ba1_ebea_a187,
+            0x572e_99d2_2ef7_3918,
+        ],
+        "{mixed:#x?}"
+    );
+    let sparse: Vec<u64> = (1..=2)
+        .map(|seed| golden_tree_hash(seed, 400, &[0, 0, 0, 1, 1, 2], 2))
+        .collect();
+    assert_eq!(
+        sparse,
+        vec![0xbe3d_5306_5b53_3074, 0x118b_29ac_5a02_82b1],
+        "{sparse:#x?}"
+    );
 }
