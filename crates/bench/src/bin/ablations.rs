@@ -6,8 +6,8 @@ use telecast_bench::figures;
 
 fn main() {
     let scale = telecast_bench::Scale::from_env();
-    telecast_bench::emit(&figures::ablation_outbound(scale));
-    telecast_bench::emit(&figures::ablation_placement(scale));
-    telecast_bench::emit(&figures::ablation_kappa(scale));
-    telecast_bench::emit(&figures::ablation_layering(scale));
+    telecast_bench::emit_figure(&figures::ablation_outbound(scale), scale);
+    telecast_bench::emit_figure(&figures::ablation_placement(scale), scale);
+    telecast_bench::emit_figure(&figures::ablation_kappa(scale), scale);
+    telecast_bench::emit_figure(&figures::ablation_layering(scale), scale);
 }

@@ -2,5 +2,5 @@
 
 fn main() {
     let scale = telecast_bench::Scale::from_env();
-    telecast_bench::emit(&telecast_bench::figures::fig13b(scale));
+    telecast_bench::emit_figure(&telecast_bench::figures::fig13b(scale), scale);
 }

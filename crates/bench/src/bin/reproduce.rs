@@ -2,7 +2,8 @@
 //! printing each table and exporting `results/*.json`.
 //!
 //! Run at the paper's scale (default) or quickly with
-//! `TELECAST_SCALE=smoke cargo run --release -p telecast-bench --bin reproduce`.
+//! `TELECAST_SCALE=smoke cargo run --release -p telecast-bench --bin reproduce`,
+//! which exports to `results/smoke/*.json` instead.
 
 use std::time::Instant;
 
@@ -19,9 +20,9 @@ fn main() {
         let start = Instant::now();
         let (fig_b, fig_c) = figures::fig13bc_pair(scale);
         let a = figures::fig13a(scale);
-        telecast_bench::emit(&a);
-        telecast_bench::emit(&fig_b);
-        telecast_bench::emit(&fig_c);
+        telecast_bench::emit_figure(&a, scale);
+        telecast_bench::emit_figure(&fig_b, scale);
+        telecast_bench::emit_figure(&fig_c, scale);
         println!(
             "# fig13(a,b,c) took {:.1}s\n",
             start.elapsed().as_secs_f64()
@@ -41,7 +42,7 @@ fn main() {
     for (name, generate) in figures {
         let start = Instant::now();
         let figure = generate(scale);
-        telecast_bench::emit(&figure);
+        telecast_bench::emit_figure(&figure, scale);
         println!("# {name} took {:.1}s\n", start.elapsed().as_secs_f64());
     }
 }

@@ -35,6 +35,17 @@ impl Scale {
         }
     }
 
+    /// The directory a figure export at this scale goes to. Paper-scale
+    /// runs rewrite the committed `results/<id>.json`; smoke runs write
+    /// `results/smoke/<id>.json` instead, so a quick check never
+    /// overwrites a committed figure.
+    pub fn results_dir(self) -> &'static str {
+        match self {
+            Scale::Smoke => "results/smoke",
+            Scale::Paper => "results",
+        }
+    }
+
     /// The viewer-count sweep of Figures 13 and 15(b).
     pub fn viewer_counts(self) -> Vec<usize> {
         match self {
@@ -500,6 +511,12 @@ mod tests {
         assert_eq!(Scale::Smoke.max_viewers(), 200);
         assert_eq!(Scale::Smoke.cdn_cap(), Bandwidth::from_mbps(1_200));
         assert_eq!(Scale::Paper.max_viewers(), 1_000);
+    }
+
+    #[test]
+    fn smoke_exports_stay_out_of_the_committed_figures() {
+        assert_eq!(Scale::Paper.results_dir(), "results");
+        assert_eq!(Scale::Smoke.results_dir(), "results/smoke");
     }
 
     #[test]

@@ -40,13 +40,25 @@ pub use view_storm::{run_view_storm, ViewStormOutcome, ViewStormScenario};
 
 /// Prints a figure's table to stdout and writes `results/<id>.json`.
 ///
-/// The binaries call this once per figure; JSON export failures are
-/// reported but do not abort the run (the table already printed).
+/// The scenario binaries call this once per figure; JSON export
+/// failures are reported but do not abort the run (the table already
+/// printed).
 pub fn emit(figure: &FigureData) {
+    emit_in(figure, "results");
+}
+
+/// [`emit`] for a paper figure generated at `scale`: the export goes to
+/// [`Scale::results_dir`], so a smoke run never overwrites the
+/// committed full-scale figure.
+pub fn emit_figure(figure: &FigureData, scale: Scale) {
+    emit_in(figure, scale.results_dir());
+}
+
+fn emit_in(figure: &FigureData, dir: &str) {
     println!("{}", figure.to_table());
-    match figure.write_json("results") {
-        Ok(()) => println!("# wrote results/{}.json\n", figure.id),
-        Err(err) => eprintln!("# could not write results/{}.json: {err}\n", figure.id),
+    match figure.write_json(dir) {
+        Ok(()) => println!("# wrote {dir}/{}.json\n", figure.id),
+        Err(err) => eprintln!("# could not write {dir}/{}.json: {err}\n", figure.id),
     }
 }
 

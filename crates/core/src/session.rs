@@ -58,9 +58,13 @@ struct ResyncEntry {
     pushed_down: bool,
 }
 
-/// One viewer's record within a [`ResyncFrame`].
-#[derive(Default)]
+/// One viewer's visit record within a subscription chain, valid only in
+/// the [`TelecastSession::propagate_resync`] call that stamped it.
+#[derive(Clone, Copy, Default)]
 struct Visit {
+    /// The stamp of the call that wrote this record; a record from any
+    /// other call reads as a fresh one.
+    call: u64,
     /// Pops of this viewer so far, capped at [`RESYNC_VISIT_CAP`].
     count: u32,
     /// The frame's [`ResyncFrame::generation`] in which the viewer last
@@ -70,13 +74,70 @@ struct Visit {
     settled_in: u32,
 }
 
+/// The visit records of every [`TelecastSession::propagate_resync`]
+/// call: one dense array over the [`ViewerTable`] slab, each record
+/// stamped with the call that wrote it, so a new call starts from zero
+/// counts without clearing anything.
+///
+/// Calls nest, and a nested call needs counts of its own while its
+/// caller is suspended. So the first time a nested call touches a
+/// viewer, it saves the record it overwrites, and puts every saved
+/// record back when it ends.
+#[derive(Default)]
+struct ResyncVisits {
+    /// Per-viewer records, indexed by [`ViewerTable`] slot.
+    records: Vec<Visit>,
+    /// `(slot, record)` pairs that nested calls overwrote, innermost
+    /// last.
+    saved: Vec<(usize, Visit)>,
+    /// Stamps handed out so far; every call takes a fresh one.
+    calls: u64,
+    /// Calls in progress.
+    depth: u32,
+}
+
+impl ResyncVisits {
+    /// Starts a call over a session of `viewers` viewers; returns its
+    /// stamp and the mark [`Self::end`] restores to.
+    fn begin(&mut self, viewers: usize) -> (u64, usize) {
+        if self.records.len() < viewers {
+            self.records.resize(viewers, Visit::default());
+        }
+        self.calls += 1;
+        self.depth += 1;
+        (self.calls, self.saved.len())
+    }
+
+    /// Call `call`'s record of the viewer in `slot`.
+    fn visit(&mut self, call: u64, slot: usize) -> &mut Visit {
+        let record = self.records[slot];
+        if record.call != call {
+            if self.depth > 1 {
+                self.saved.push((slot, record));
+            }
+            self.records[slot] = Visit {
+                call,
+                ..Visit::default()
+            };
+        }
+        &mut self.records[slot]
+    }
+
+    /// Ends the innermost call, restoring the records it overwrote.
+    fn end(&mut self, mark: usize) {
+        while self.saved.len() > mark {
+            let (slot, record) = self.saved.pop().expect("above the mark");
+            self.records[slot] = record;
+        }
+        self.depth -= 1;
+    }
+}
+
 /// The reusable buffers of one [`TelecastSession::propagate_resync`] call.
 #[derive(Default)]
 struct ResyncFrame {
     /// Viewers still to resync, in visit order.
     queue: VecDeque<NodeId>,
-    /// Per-viewer visit counts and settled marks for this call.
-    visits: FxHashMap<NodeId, Visit>,
     /// Starts at 1 and moves on at every drop in the call: a drop's
     /// victim recovery mutates trees, which outdates every settled mark.
     generation: u32,
@@ -86,6 +147,9 @@ struct ResyncFrame {
     layers: Vec<u64>,
     /// Streams whose effective delay the last resync changed.
     changed: Vec<StreamId>,
+    /// The children of `changed` in the group's trees, in order: the
+    /// viewers the chain enqueues next.
+    walked: Vec<NodeId>,
 }
 
 /// How many times one viewer's parked join may be retried before it is
@@ -307,6 +371,7 @@ impl SessionBuilder {
             retry_counts: FxHashMap::default(),
             connected_count: 0,
             resync_frames: Vec::new(),
+            resync_visits: ResyncVisits::default(),
             shard: None,
             config,
         }
@@ -400,6 +465,9 @@ pub struct TelecastSession {
     connected_count: usize,
     /// Spare [`ResyncFrame`]s, one per nesting level reached so far.
     resync_frames: Vec<ResyncFrame>,
+    /// The subscription chain's visit records, shared by every nesting
+    /// level.
+    resync_visits: ResyncVisits,
     /// Sharded-mode context, installed when this session is one shard of
     /// a [`crate::ShardedSession`]. `None` on the legacy single-loop
     /// path, which stays behaviourally untouched.
@@ -1643,6 +1711,9 @@ impl TelecastSession {
                     pushed_down: false,
                     bitrate_kbps: s.bitrate_kbps,
                     leg: None,
+                    // Read at the commit.
+                    up: *parent,
+                    up_e2e: SimDuration::ZERO,
                 },
             ));
         }
@@ -1767,6 +1838,9 @@ impl TelecastSession {
             }
             v.status = ViewerStatus::Connected;
             v.view = Some(view);
+            // A join commits all its subscriptions at once: size the map
+            // for them rather than let it grow in doublings.
+            v.subs.reserve_exact(kept.len());
             for (sid, mut sub) in kept {
                 // Reattach the lease handle recorded during placement.
                 if sub.parent == TreeParent::Cdn {
@@ -1783,6 +1857,13 @@ impl TelecastSession {
                 v.subs.insert(sid, sub);
             }
         }
+        // The new subscriptions read their tree parents, and the members
+        // the joiner displaced read its delays.
+        let streams: Vec<StreamId> = self.viewers[&viewer].subs.keys().copied().collect();
+        for &sid in &streams {
+            self.reread_up(viewer, sid);
+        }
+        self.push_up_e2e(viewer, streams, None);
         // Register group membership (the group exists: created above for
         // every non-Random placement). The prune pass reads this to spot
         // abandoned views.
@@ -1915,6 +1996,9 @@ impl TelecastSession {
                             pushed_down: false,
                             bitrate_kbps: bw.as_kbps(),
                             leg: None,
+                            // Served outside every tree.
+                            up: TreeParent::Cdn,
+                            up_e2e: SimDuration::ZERO,
                         },
                     );
                     accepted += 1;
@@ -1950,6 +2034,9 @@ impl TelecastSession {
                     .expect("tree covers view stream");
                 if let Some(parent) = tree.insert(viewer, out_degree, outbound_capacity) {
                     let displaced = tree.children_of(viewer).next();
+                    if let Some(d) = displaced {
+                        self.reread_up(d, stream);
+                    }
                     Some((parent, displaced))
                 } else {
                     // Fall back to the CDN.
@@ -2109,6 +2196,7 @@ impl TelecastSession {
                 // removal re-roots it at the CDN, which needs a lease or a
                 // reposition — recover it like any victim.
                 if !victims.is_empty() {
+                    self.reread_up_all(&victims, stream);
                     self.recover_victims(stream, view, scope, victims);
                 }
             }
@@ -2258,6 +2346,9 @@ impl TelecastSession {
         let view = self.viewers[&viewer].view;
         let scope = self.scope_of(region);
         let is_random = matches!(self.config.placement, PlacementStrategy::Random { .. });
+        // Until the loop below reaches each tree, the viewer's children
+        // there read Δ from a parent with no subscription.
+        self.push_up_e2e(viewer, subs.iter().map(|&(sid, _)| sid), None);
 
         let mut inbound_release = Bandwidth::ZERO;
         for (sid, sub) in subs {
@@ -2269,6 +2360,7 @@ impl TelecastSession {
                 if let Some(tree) = self.random_trees.get_mut(&sid) {
                     if tree.contains(viewer) {
                         let victims = tree.remove(viewer);
+                        self.reread_up_all(&victims, sid);
                         self.recover_random_victims(sid, victims);
                     }
                 }
@@ -2290,6 +2382,7 @@ impl TelecastSession {
                 {
                     if tree.contains(viewer) {
                         let victims = tree.remove(viewer);
+                        self.reread_up_all(&victims, sid);
                         self.recover_victims(sid, v, scope, victims);
                     }
                 }
@@ -2513,6 +2606,7 @@ impl TelecastSession {
                     {
                         sub.parent = TreeParent::Cdn;
                         sub.lease = Some(lease);
+                        self.reread_up(victim, stream);
                     } else {
                         self.cdn.release(lease);
                     }
@@ -2533,6 +2627,7 @@ impl TelecastSession {
                                     list.swap_remove(pos);
                                 }
                             }
+                            self.reread_up_all(&next, stream);
                             self.recover_random_victims(stream, next);
                         }
                     }
@@ -2603,6 +2698,8 @@ impl TelecastSession {
             .and_then(|g| g.tree(stream))
             .map(|t| t.children_of(viewer).collect())
             .unwrap_or_default();
+        self.reread_up(viewer, stream);
+        self.reread_up_all(&displaced, stream);
         let mut spare_leases: Vec<telecast_cdn::CdnLease> = Vec::new();
         for d in displaced {
             let lease = self
@@ -2695,6 +2792,7 @@ impl TelecastSession {
         }
         self.metrics.layer_drops.incr();
         if !victims.is_empty() {
+            self.reread_up_all(&victims, stream);
             self.recover_victims(stream, view, scope, victims);
         }
     }
@@ -2709,8 +2807,9 @@ impl TelecastSession {
     /// Runs on a [`ResyncFrame`] taken from the session's spare stack and
     /// returned cleared, so the steady state allocates nothing. A nested
     /// call (a drop inside [`Self::resync_viewer`] recovers victims whose
-    /// repositions resync again) takes a frame of its own: its visit
-    /// counts start from zero, exactly as a fresh map per call would.
+    /// repositions resync again) takes a frame of its own, and its visit
+    /// counts start from zero (see [`ResyncVisits`]), exactly as a fresh
+    /// map per call would.
     ///
     /// A settled viewer (see [`Visit::settled_in`]) still counts its
     /// visit against [`RESYNC_VISIT_CAP`]; only the resync itself is
@@ -2722,10 +2821,16 @@ impl TelecastSession {
         seeds: impl IntoIterator<Item = NodeId>,
     ) {
         let mut frame = self.resync_frames.pop().unwrap_or_default();
+        let (call, mark) = self.resync_visits.begin(self.viewers.len());
         frame.generation = 1;
         frame.queue.extend(seeds);
         while let Some(w) = frame.queue.pop_front() {
-            let visit = frame.visits.entry(w).or_default();
+            // Only viewers sit in trees, and a resync of anything else
+            // would change nothing.
+            let Some(slot) = self.viewers.slot(&w) else {
+                continue;
+            };
+            let visit = self.resync_visits.visit(call, slot);
             visit.count += 1;
             if visit.count > RESYNC_VISIT_CAP {
                 self.metrics.resync_cap_hits.incr();
@@ -2736,12 +2841,11 @@ impl TelecastSession {
             }
             let drops = self.metrics.layer_drops.value();
             let settled = self.resync_viewer(w, view, scope, &mut frame);
-            if self.metrics.layer_drops.value() != drops {
+            let dropped = self.metrics.layer_drops.value() != drops;
+            if dropped {
                 frame.generation += 1;
             } else if settled {
-                if let Some(visit) = frame.visits.get_mut(&w) {
-                    visit.settled_in = frame.generation;
-                }
+                self.resync_visits.visit(call, slot).settled_in = frame.generation;
             }
             if frame.changed.is_empty() {
                 continue;
@@ -2749,32 +2853,45 @@ impl TelecastSession {
             self.metrics
                 .subscription_messages
                 .add(frame.changed.len() as u64);
-            if let Some(g) = self.scopes[scope].group(view) {
-                for sid in &frame.changed {
-                    if let Some(t) = g.tree(*sid) {
-                        for child in t.children_of(w) {
-                            frame.queue.push_back(child);
-                            if let Some(visit) = frame.visits.get_mut(&child) {
-                                visit.settled_in = 0;
-                            }
-                        }
-                    }
+            // The pushes walked the changed streams' children. A drop
+            // mutated the trees after that walk, so walk them again.
+            if dropped {
+                frame.walked.clear();
+                frame
+                    .walked
+                    .extend(self.children_in_trees(view, scope, w, &frame.changed));
+            }
+            #[cfg(debug_assertions)]
+            {
+                let walk: Vec<NodeId> = self
+                    .children_in_trees(view, scope, w, &frame.changed)
+                    .collect();
+                assert_eq!(
+                    frame.walked, walk,
+                    "pushes walked other children than the trees hold"
+                );
+            }
+            for &child in &frame.walked {
+                frame.queue.push_back(child);
+                if let Some(slot) = self.viewers.slot(&child) {
+                    self.resync_visits.visit(call, slot).settled_in = 0;
                 }
             }
             // A change (e.g. a §VI CDN reroute) shifts this viewer's own
             // push-down baseline: revisit once more to reach a fixpoint.
             frame.queue.push_back(w);
         }
-        frame.visits.clear();
+        self.resync_visits.end(mark);
         self.resync_frames.push(frame);
     }
 
-    /// Recomputes one viewer's delay layers from the trees' current
-    /// structure (the source of truth for parents — a displacement may
-    /// have changed them); leaves the streams whose effective delay
-    /// changed in `frame.changed`. Returns whether the viewer settled:
-    /// no §VI reroute and no drop, so with unchanged parents a re-run in
-    /// the same frame would change nothing.
+    /// Recomputes one viewer's delay layers from its subscriptions'
+    /// chain inputs (see [`StreamSub::up`]), pushes each new delay to the
+    /// stream's tree children, and leaves the streams whose effective
+    /// delay changed in `frame.changed` and their children in
+    /// `frame.walked`. Returns whether the viewer settled: no §VI reroute
+    /// and no drop, so with unchanged inputs a re-run in the same frame
+    /// would change nothing.
     fn resync_viewer(
         &mut self,
         viewer: NodeId,
@@ -2789,35 +2906,28 @@ impl TelecastSession {
         if state.status != ViewerStatus::Connected || state.view != Some(view) {
             return true;
         }
-        // Pass 1: read current parents from the trees, recompute base
-        // delays (CDN-parented streams keep their stored delay — victims
-        // stay at their layer). Each entry starts at its natural layer
-        // with effective delay = base; layering adjusts both below. A
-        // viewer parent's leg comes from the subscription's cache while
-        // the parent and the drift epoch match.
-        let group = self.scopes[scope].group(view);
+        // Pass 1: read each subscription's pushed chain inputs (its tree
+        // parent and that parent's `e2e`), recompute base delays
+        // (CDN-parented streams keep their stored delay — victims stay at
+        // their layer). Each entry starts at its natural layer with
+        // effective delay = base; layering adjusts both below. A viewer
+        // parent's leg comes from the subscription's cache while the
+        // parent and the drift epoch match.
         let now = self.engine.now();
         let epoch = epoch_key(now);
         let finals = &mut frame.finals;
         finals.clear();
         for (&sid, sub) in &state.subs {
-            let parent = group
-                .and_then(|g| g.tree(sid))
-                .and_then(|t| t.parent_of(viewer))
-                .unwrap_or(sub.parent);
+            #[cfg(debug_assertions)]
+            self.debug_check_up(viewer, view, scope, sid, sub);
+            let parent = sub.up;
             let (base, leg) = match parent {
                 TreeParent::Cdn => (sub.base_e2e, SimDuration::ZERO),
                 TreeParent::Viewer(p) => {
-                    let pe2e = self
-                        .viewers
-                        .get(&p)
-                        .and_then(|pv| pv.subs.get(&sid))
-                        .map(|ps| ps.e2e)
-                        .unwrap_or(self.scheme.delta());
                     let leg = sub
                         .cached_leg(p, epoch)
                         .unwrap_or_else(|| self.delays.one_way(now, p, viewer));
-                    (pe2e + leg + self.config.hop_processing, leg)
+                    (sub.up_e2e + leg + self.config.hop_processing, leg)
                 }
             };
             let natural = self.scheme.layer_of_delay(base);
@@ -2911,6 +3021,10 @@ impl TelecastSession {
         for lease in stale_leases {
             self.cdn.release(lease);
         }
+        // Send the new delays down before anything below can run a
+        // nested chain (a drop recovers victims, which resyncs).
+        frame.walked.clear();
+        self.push_up_e2e(viewer, changed.iter().copied(), Some(&mut frame.walked));
         // §VI: "if the parent is another viewer, then LSC first tries to
         // provision the stream from the CDN" — only drop when the pool is
         // exhausted too.
@@ -2938,6 +3052,8 @@ impl TelecastSession {
                     sub.layer = 0;
                     sub.pushed_down = false;
                     changed.push(sid);
+                    self.reread_up(viewer, sid);
+                    self.push_up_e2e(viewer, [sid], Some(&mut frame.walked));
                 }
                 Err(_) => drops.push(sid),
             }
@@ -2946,6 +3062,150 @@ impl TelecastSession {
             self.drop_stream(viewer, sid, view, scope);
         }
         settled
+    }
+
+    /// `viewer`'s children in the trees of `streams` in `view`'s group of
+    /// `scope`, stream by stream.
+    fn children_in_trees<'a>(
+        &'a self,
+        view: ViewId,
+        scope: usize,
+        viewer: NodeId,
+        streams: &'a [StreamId],
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        let group = self.scopes[scope].group(view);
+        streams
+            .iter()
+            .filter_map(move |&sid| group.and_then(|g| g.tree(sid)))
+            .flat_map(move |t| t.children_of(viewer))
+    }
+
+    /// The chain inputs pass 1 of [`Self::resync_viewer`] would pull for
+    /// `viewer`'s subscription to `stream` if it read the trees: the
+    /// parent in the stream's tree of `view`'s group in `scope` (or
+    /// `fallback`, the subscription's own parent, when the viewer is no
+    /// member), and that parent's `e2e` for the stream — Δ when it holds
+    /// no subscription to it, zero under the CDN.
+    fn pull_up(
+        &self,
+        viewer: NodeId,
+        view: Option<ViewId>,
+        scope: usize,
+        stream: StreamId,
+        fallback: TreeParent,
+    ) -> (TreeParent, SimDuration) {
+        let parent = view
+            .and_then(|view| self.scopes[scope].group(view))
+            .and_then(|g| g.tree(stream))
+            .and_then(|t| t.parent_of(viewer))
+            .unwrap_or(fallback);
+        let e2e = match parent {
+            TreeParent::Cdn => SimDuration::ZERO,
+            TreeParent::Viewer(p) => self
+                .viewers
+                .get(&p)
+                .and_then(|pv| pv.subs.get(&stream))
+                .map_or(self.scheme.delta(), |ps| ps.e2e),
+        };
+        (parent, e2e)
+    }
+
+    /// Re-reads `viewer`'s stored chain inputs for `stream` once a tree
+    /// mutation re-parented it, or its subscription was written outside
+    /// a tree.
+    fn reread_up(&mut self, viewer: NodeId, stream: StreamId) {
+        let Some(v) = self.viewers.get(&viewer) else {
+            return;
+        };
+        let Some(sub) = v.subs.get(&stream) else {
+            return;
+        };
+        let (up, up_e2e) =
+            self.pull_up(viewer, v.view, self.scope_of(v.region), stream, sub.parent);
+        let sub = self
+            .viewers
+            .get_mut(&viewer)
+            .and_then(|v| v.subs.get_mut(&stream))
+            .expect("checked above");
+        sub.up = up;
+        sub.up_e2e = up_e2e;
+    }
+
+    /// [`Self::reread_up`] for each of `viewers`.
+    fn reread_up_all(&mut self, viewers: &[NodeId], stream: StreamId) {
+        for &v in viewers {
+            self.reread_up(v, stream);
+        }
+    }
+
+    /// Sends `viewer`'s current `e2e` on each of `streams` (Δ once it
+    /// holds no subscription to it) to the children that read it: the
+    /// §V-B3 Subscription message, sent when the value is written. A
+    /// child takes it only while `viewer` is its chain parent. The
+    /// children of the viewer's group trees are appended to `walked` in
+    /// visit order, as the subscription chain enqueues them.
+    fn push_up_e2e(
+        &mut self,
+        viewer: NodeId,
+        streams: impl IntoIterator<Item = StreamId>,
+        mut walked: Option<&mut Vec<NodeId>>,
+    ) {
+        let Some(v) = self.viewers.get(&viewer) else {
+            return;
+        };
+        let random = matches!(self.config.placement, PlacementStrategy::Random { .. });
+        let scope = self.scope_of(v.region);
+        let group = v.view.and_then(|view| self.scopes[scope].group(view));
+        for stream in streams {
+            let e2e = self.viewers[&viewer]
+                .subs
+                .get(&stream)
+                .map_or(self.scheme.delta(), |s| s.e2e);
+            let tree = if random {
+                self.random_trees.get(&stream)
+            } else {
+                group.and_then(|g| g.tree(stream))
+            };
+            let Some(tree) = tree else {
+                continue;
+            };
+            for child in tree.children_of(viewer) {
+                if !random {
+                    if let Some(walked) = walked.as_deref_mut() {
+                        walked.push(child);
+                    }
+                }
+                if let Some(sub) = self
+                    .viewers
+                    .get_mut(&child)
+                    .and_then(|c| c.subs.get_mut(&stream))
+                {
+                    if sub.up == TreeParent::Viewer(viewer) {
+                        sub.up_e2e = e2e;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Debug-build oracle for pass 1 of [`Self::resync_viewer`]: the
+    /// pushed chain inputs equal what reading the trees would give.
+    #[cfg(debug_assertions)]
+    fn debug_check_up(
+        &self,
+        viewer: NodeId,
+        view: ViewId,
+        scope: usize,
+        stream: StreamId,
+        sub: &StreamSub,
+    ) {
+        let pulled = self.pull_up(viewer, Some(view), scope, stream, sub.parent);
+        assert_eq!(
+            (sub.up, sub.up_e2e),
+            pulled,
+            "pushed chain inputs of viewer {viewer} stream {stream} differ from the trees at {:?}",
+            self.engine.now()
+        );
     }
 
     // ------------------------------------------------------------------

@@ -25,6 +25,12 @@ pub enum ViewerStatus {
 }
 
 /// One accepted stream at a viewer.
+///
+/// Besides the public state, a subscription keeps what its next §V-B3
+/// resync reads: the cached leg from its parent and the chain inputs
+/// (its tree parent and that parent's delay), which parents push and
+/// tree mutations re-read, so a resync never looks up a tree or another
+/// viewer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamSub {
     /// Current upstream.
@@ -43,12 +49,21 @@ pub struct StreamSub {
     pub bitrate_kbps: u64,
     /// The viewer-parent leg the last resync measured, if any.
     pub(crate) leg: Option<LegCache>,
+    /// The §V-B3 chain parent pass 1 of a resync reads: the stream
+    /// tree's parent while the viewer is a member, `parent` otherwise.
+    /// Unlike `parent`, which moves lazily at the viewer's next resync,
+    /// it is re-read at every tree mutation that re-parents the viewer.
+    pub(crate) up: TreeParent,
+    /// `up`'s `e2e` for this stream, or Δ while `up` holds no
+    /// subscription to it (zero under the CDN). The parent pushes it on
+    /// every write of its `e2e`.
+    pub(crate) up_e2e: SimDuration,
 }
 
-// The leg cache rides in the padding the lease niche freed: a
-// subscription still fits one 64-byte cache line.
+// The leg cache rides in the padding the lease niche freed; the chain
+// inputs take one more 16-byte row.
 const _: () = assert!(std::mem::size_of::<Option<LegCache>>() == 12);
-const _: () = assert!(std::mem::size_of::<StreamSub>() <= 64);
+const _: () = assert!(std::mem::size_of::<StreamSub>() <= 80);
 
 impl StreamSub {
     /// The cached one-way leg from `parent`, when it was measured from
@@ -239,6 +254,11 @@ impl<K: Ord, V> VecMap<K, V> {
         self.find(key).ok().map(|i| self.entries.remove(i).1)
     }
 
+    /// Makes room for exactly `additional` more entries.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.entries.reserve_exact(additional);
+    }
+
     /// Removes every entry, keeping the allocation.
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -337,6 +357,19 @@ impl ViewerTable {
         node.index()
             .checked_sub(self.base)
             .and_then(|i| self.slots.get(i))
+    }
+
+    /// The slab slot of viewer `node`: a dense index below
+    /// [`Self::len`], or `None` for any other node.
+    pub(crate) fn slot(&self, node: &NodeId) -> Option<usize> {
+        node.index()
+            .checked_sub(self.base)
+            .filter(|&i| i < self.slots.len())
+    }
+
+    /// Number of viewers.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
     }
 
     /// The viewer with id `node`, mutably.
@@ -457,6 +490,8 @@ mod tests {
             pushed_down: false,
             bitrate_kbps: 2_000,
             leg: None,
+            up: TreeParent::Viewer(a),
+            up_e2e: SimDuration::ZERO,
         };
         let first = epoch_key(SimTime::ZERO);
         assert_eq!(first, epoch_key(SimTime::from_secs(15 * 60 - 1)));
@@ -499,6 +534,8 @@ mod tests {
                     pushed_down: false,
                     bitrate_kbps: 2_000,
                     leg: None,
+                    up: TreeParent::Cdn,
+                    up_e2e: SimDuration::ZERO,
                 },
             );
         }

@@ -845,3 +845,123 @@ fn churn_across_drift_epochs_keeps_its_counters() {
         );
     }
 }
+
+/// What a run's subscription chains end with: the chain counters and an
+/// FNV-1a digest of every viewer's final `(parent, e2e, layer)` per
+/// subscription, in viewer and stream order.
+#[derive(Debug, PartialEq, Eq)]
+struct ChainOutcome {
+    subscription_messages: u64,
+    resync_cap_hits: u64,
+    layer_drops: u64,
+    victims: u64,
+    final_subs: u64,
+}
+
+fn chain_outcome(session: &TelecastSession) -> ChainOutcome {
+    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+    let mut fold = |x: u64| {
+        for byte in x.to_le_bytes() {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for &id in session.viewer_ids() {
+        let v = session.viewer(id).unwrap();
+        fold(v.subs.len() as u64);
+        for sub in v.subs.values() {
+            fold(match sub.parent {
+                TreeParent::Cdn => 0,
+                TreeParent::Viewer(p) => p.index() as u64 + 1,
+            });
+            fold(sub.e2e.as_micros());
+            fold(sub.layer);
+        }
+    }
+    let m = session.metrics();
+    ChainOutcome {
+        subscription_messages: m.subscription_messages.value(),
+        resync_cap_hits: m.resync_cap_hits.value(),
+        layer_drops: m.layer_drops.value(),
+        victims: m.victims.value(),
+        final_subs: digest,
+    }
+}
+
+/// `n` viewers churning for 20 simulated minutes with the §VI
+/// adaptation loop armed and `cdn_mbps` of CDN pool per viewer.
+fn adaptive_churn(n: usize, seed: u64, cdn_mbps: u64) -> TelecastSession {
+    let config = SessionConfig {
+        sites: vec![
+            ProducerSite::ring(SiteId::new(0), 6, 2_000, 10),
+            ProducerSite::ring(SiteId::new(1), 6, 2_000, 10),
+        ],
+        streams_per_local_view: 3,
+        adaptation_period: Some(SimDuration::from_secs(60)),
+        ..SessionConfig::default()
+    }
+    .with_outbound(BandwidthProfile::uniform_mbps(2, 14))
+    .with_cdn(CdnConfig::default().with_outbound(Bandwidth::from_mbps(cdn_mbps * n as u64)))
+    .with_prune_floor(6)
+    .with_seed(seed);
+    let mut session = TelecastSession::builder(config).viewers(n).build();
+    let horizon = SimTime::from_secs(20 * 60);
+    session.start_churn(ChurnSpec::steady_state(2 * n / 3, 0.1), horizon, n / 2);
+    session.run_until(horizon);
+    session
+}
+
+/// A departure tears its subscriptions down one stream tree at a time,
+/// and recovering one tree's victims resyncs viewers that are still the
+/// departing viewer's children in its other trees. Those children must
+/// read Δ, as from a parent with no subscription: the teardown sends it
+/// to them before the first tree is touched. Recorded before the
+/// subscription chain stored its inputs.
+#[test]
+fn departure_teardown_sends_delta_to_children_in_other_trees() {
+    assert_eq!(
+        chain_outcome(&four_view_churn(32, 2)),
+        ChainOutcome {
+            subscription_messages: 427,
+            resync_cap_hits: 0,
+            layer_drops: 0,
+            victims: 47,
+            final_subs: 4_382_649_555_388_063_455,
+        }
+    );
+}
+
+/// A layer drop inside `resync_viewer` recovers victims whose nested
+/// chains resync a child of a stream the same call's pass 2 just
+/// changed, before the outer chain enqueues anyone: that child must
+/// read the new delay, so pass 2 sends it before any drop. Recorded
+/// before the subscription chain stored its inputs.
+#[test]
+fn a_drop_runs_nested_chains_on_pushed_delays() {
+    assert_eq!(
+        chain_outcome(&adaptive_churn(150, 6, 2)),
+        ChainOutcome {
+            subscription_messages: 7_243,
+            resync_cap_hits: 1_142,
+            layer_drops: 26,
+            victims: 310,
+            final_subs: 13_420_262_683_578_937_795,
+        }
+    );
+}
+
+/// A §VI CDN reroute inside a resync moves a viewer's stream to the CDN
+/// at Δ, and its children in that tree must read Δ from then on.
+/// Recorded before the subscription chain stored its inputs.
+#[test]
+fn a_cdn_reroute_pushes_delta_to_its_children() {
+    assert_eq!(
+        chain_outcome(&adaptive_churn(80, 1, 4)),
+        ChainOutcome {
+            subscription_messages: 3_783,
+            resync_cap_hits: 327,
+            layer_drops: 0,
+            victims: 187,
+            final_subs: 14_182_908_706_680_457_518,
+        }
+    );
+}
