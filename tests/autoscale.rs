@@ -127,3 +127,45 @@ fn provisioned_capacity_tracks_the_diurnal_wave() {
     );
     assert_eq!(static_run.autoscale_ups + static_run.autoscale_downs, 0);
 }
+
+/// The repository's committed `results/` directory.
+fn results_dir() -> std::path::PathBuf {
+    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
+
+/// The scaled-down diurnal-wave replay reference, committed as
+/// `results/replay_diurnal.json`: the CI scenario's defaults (coordinate
+/// backend, 10%/min churn, 80% amplitude, a day a third of the run, the
+/// tight default pool, autoscale on) at 600 viewers for 12 minutes.
+fn replay_wave() -> DiurnalScenario {
+    DiurnalScenario {
+        viewers: 600,
+        minutes: 12,
+        day_minutes: 4,
+        ..DiurnalScenario::default()
+    }
+}
+
+#[test]
+fn diurnal_wave_replays_its_committed_small_reference_byte_identically() {
+    let wave = run_diurnal(&replay_wave()).figure.to_json();
+    let committed = std::fs::read_to_string(results_dir().join("replay_diurnal.json"))
+        .expect("missing results/replay_diurnal.json — run the ignored regenerate test");
+    assert_eq!(
+        wave, committed,
+        "diurnal replay diverged from the committed reference bytes"
+    );
+}
+
+/// Regenerates the small diurnal replay reference. Run after an
+/// *intentional* behaviour change, then commit the file:
+/// `cargo test --release -p telecast-conformance --test autoscale -- --ignored regenerate`
+#[test]
+#[ignore = "writes the committed replay reference"]
+fn regenerate_diurnal_replay_reference() {
+    std::fs::write(
+        results_dir().join("replay_diurnal.json"),
+        run_diurnal(&replay_wave()).figure.to_json(),
+    )
+    .unwrap();
+}
