@@ -29,8 +29,6 @@ pub struct ScenarioArgs {
     pub autoscale: bool,
     /// `--predictive`: forecast-driven scaling (implies `--autoscale`).
     pub predictive: bool,
-    /// `--per-region`: split the CDN pool into per-region pools.
-    pub per_region: bool,
     /// `--threads N`: worker threads for sharded runtimes. Defaults to
     /// [`telecast_sim::default_parallelism`] when unset; the output is
     /// thread-count-independent, so this is purely a wall-clock knob.
@@ -68,113 +66,47 @@ impl ScenarioArgs {
         let mut out = ScenarioArgs::default();
         let mut args = args;
         while let Some(arg) = args.next() {
+            let args = &mut args;
             match arg.as_str() {
-                "--viewers" => {
-                    let v = next_value(&mut args, "--viewers")?;
-                    let n: usize = parse_num(&v, "--viewers")?;
-                    if n == 0 {
-                        return Err("--viewers must be positive".into());
-                    }
-                    out.viewers = Some(n);
-                }
+                // Zero viewers, threads, epochs, tenants, views or pool
+                // would trip asserts downstream (ChurnSpec,
+                // ShardedSession::new, …): reject them here with a clean
+                // usage error instead.
+                "--viewers" => out.viewers = Some(positive(args, "--viewers")?),
                 "--minutes" => {
-                    let v = next_value(&mut args, "--minutes")?;
-                    out.minutes = Some(parse_num(&v, "--minutes")?);
+                    out.minutes = Some(parse_num(&next_value(args, "--minutes")?, "--minutes")?)
                 }
-                "--seed" => {
-                    let v = next_value(&mut args, "--seed")?;
-                    out.seed = Some(parse_num(&v, "--seed")?);
-                }
+                "--seed" => out.seed = Some(parse_num(&next_value(args, "--seed")?, "--seed")?),
                 "--churn-pct" => {
-                    let v = next_value(&mut args, "--churn-pct")?;
-                    let pct: f64 = v
-                        .parse()
-                        .map_err(|_| format!("--churn-pct expects a number, got `{v}`"))?;
-                    // ChurnSpec::steady_state requires a rate in (0, 1],
-                    // so reject 0 here with a clean usage error instead
-                    // of panicking downstream.
+                    let pct = number(args, "--churn-pct")?;
+                    // ChurnSpec::steady_state requires a rate in (0, 1].
                     if !(pct > 0.0 && pct <= 100.0) {
                         return Err(format!("--churn-pct out of (0, 100]: {pct}"));
                     }
                     out.churn_pct = Some(pct);
                 }
-                "--backend" => {
-                    let v = next_value(&mut args, "--backend")?;
-                    out.backend = Some(parse_backend(&v)?);
-                }
-                "--pool-mbps" => {
-                    let v = next_value(&mut args, "--pool-mbps")?;
-                    let n: u64 = parse_num(&v, "--pool-mbps")?;
-                    if n == 0 {
-                        return Err("--pool-mbps must be positive".into());
-                    }
-                    out.pool_mbps = Some(n);
-                }
-                "--autoscale" => {
-                    out.autoscale = true;
-                }
+                "--backend" => out.backend = Some(parse_backend(&next_value(args, "--backend")?)?),
+                "--pool-mbps" => out.pool_mbps = Some(positive(args, "--pool-mbps")?),
+                "--autoscale" => out.autoscale = true,
                 "--predictive" => {
                     out.predictive = true;
                     out.autoscale = true;
                 }
-                "--per-region" => {
-                    out.per_region = true;
-                }
-                "--threads" => {
-                    let v = next_value(&mut args, "--threads")?;
-                    let n: usize = parse_num(&v, "--threads")?;
-                    if n == 0 {
-                        return Err("--threads must be positive".into());
-                    }
-                    out.threads = Some(n);
-                }
-                "--epoch-secs" => {
-                    let v = next_value(&mut args, "--epoch-secs")?;
-                    let n: u64 = parse_num(&v, "--epoch-secs")?;
-                    // ShardedSession::new asserts a non-zero epoch; catch
-                    // it here with a usage error like `--viewers 0`.
-                    if n == 0 {
-                        return Err("--epoch-secs must be positive".into());
-                    }
-                    out.epoch_secs = Some(n);
-                }
-                "--tenants" => {
-                    let v = next_value(&mut args, "--tenants")?;
-                    let n: u32 = parse_num(&v, "--tenants")?;
-                    // Zero tenants is as meaningless as zero viewers —
-                    // same parity check, same clean usage error.
-                    if n == 0 {
-                        return Err("--tenants must be positive".into());
-                    }
-                    out.tenants = Some(n);
-                }
+                "--threads" => out.threads = Some(positive(args, "--threads")?),
+                "--epoch-secs" => out.epoch_secs = Some(positive(args, "--epoch-secs")?),
+                "--tenants" => out.tenants = Some(positive(args, "--tenants")?),
                 "--zipf" => {
-                    let v = next_value(&mut args, "--zipf")?;
-                    let s: f64 = v
-                        .parse()
-                        .map_err(|_| format!("--zipf expects a number, got `{v}`"))?;
+                    let s = number(args, "--zipf")?;
                     // A non-positive exponent inverts or degenerates the
-                    // audience split; reject it here like `--churn-pct 0`.
+                    // audience split.
                     if !(s > 0.0 && s.is_finite()) {
                         return Err(format!("--zipf must be a positive number: {s}"));
                     }
                     out.zipf = Some(s);
                 }
-                "--views" => {
-                    let v = next_value(&mut args, "--views")?;
-                    let n: usize = parse_num(&v, "--views")?;
-                    // Zero views is as meaningless as zero viewers —
-                    // same parity check, same clean usage error.
-                    if n == 0 {
-                        return Err("--views must be positive".into());
-                    }
-                    out.views = Some(n);
-                }
+                "--views" => out.views = Some(positive(args, "--views")?),
                 "--zipf-view" => {
-                    let v = next_value(&mut args, "--zipf-view")?;
-                    let s: f64 = v
-                        .parse()
-                        .map_err(|_| format!("--zipf-view expects a number, got `{v}`"))?;
+                    let s = number(args, "--zipf-view")?;
                     // Unlike `--zipf` (an audience split, where 0
                     // degenerates), a 0 view exponent is the uniform
                     // choice — only negative or non-finite is invalid
@@ -185,14 +117,10 @@ impl ScenarioArgs {
                     out.zipf_view = Some(s);
                 }
                 "--refocus-pct" => {
-                    let v = next_value(&mut args, "--refocus-pct")?;
-                    let pct: f64 = v
-                        .parse()
-                        .map_err(|_| format!("--refocus-pct expects a number, got `{v}`"))?;
+                    let pct = number(args, "--refocus-pct")?;
                     // RefocusEvent::validate rejects fractions outside
-                    // [0, 1]; catch the percent form here. 0 is a valid
-                    // storms-off setting (unlike `--churn-pct`, where a
-                    // zero rate trips ChurnSpec's asserts).
+                    // [0, 1]. 0 is a valid storms-off setting (unlike
+                    // `--churn-pct`, where a zero rate trips ChurnSpec).
                     if !(0.0..=100.0).contains(&pct) {
                         return Err(format!("--refocus-pct out of [0, 100]: {pct}"));
                     }
@@ -200,9 +128,8 @@ impl ScenarioArgs {
                 }
                 other => {
                     // Bare positional integer = viewer count (the original
-                    // `flash_crowd <N>` interface). The same positivity
-                    // check as `--viewers` applies — zero viewers would
-                    // panic inside ChurnSpec downstream.
+                    // `flash_crowd <N>` interface), positive like
+                    // `--viewers`.
                     match other.parse::<usize>() {
                         Ok(0) => return Err("viewer count must be positive".into()),
                         Ok(n) => out.viewers = Some(n),
@@ -212,7 +139,7 @@ impl ScenarioArgs {
                                  (expected --viewers N, --minutes M, \
                                  --backend dense|coordinate|auto, --seed S, \
                                  --churn-pct P, --pool-mbps N, --autoscale, \
-                                 --predictive, --per-region, --threads N, \
+                                 --predictive, --threads N, \
                                  --epoch-secs E, --tenants M, --zipf S, \
                                  --views N, --zipf-view S, --refocus-pct P)"
                             ))
@@ -227,7 +154,7 @@ impl ScenarioArgs {
     /// Every flag's command-line name, and whether it was set. A bare
     /// positional viewer count counts as `--viewers`; `--predictive`
     /// also sets `--autoscale`.
-    fn flags_set(&self) -> [(&'static str, bool); 16] {
+    fn flags_set(&self) -> [(&'static str, bool); 15] {
         [
             ("--viewers", self.viewers.is_some()),
             ("--minutes", self.minutes.is_some()),
@@ -237,7 +164,6 @@ impl ScenarioArgs {
             ("--pool-mbps", self.pool_mbps.is_some()),
             ("--autoscale", self.autoscale),
             ("--predictive", self.predictive),
-            ("--per-region", self.per_region),
             ("--threads", self.threads.is_some()),
             ("--epoch-secs", self.epoch_secs.is_some()),
             ("--tenants", self.tenants.is_some()),
@@ -294,6 +220,25 @@ fn parse_num<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, String>
         .map_err(|_| format!("{flag} expects an integer, got `{value}`"))
 }
 
+/// The next value as a positive integer.
+fn positive<T: std::str::FromStr + Default + PartialEq>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let n: T = parse_num(&next_value(args, flag)?, flag)?;
+    if n == T::default() {
+        return Err(format!("{flag} must be positive"));
+    }
+    Ok(n)
+}
+
+/// The next value as a number.
+fn number(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<f64, String> {
+    let v = next_value(args, flag)?;
+    v.parse()
+        .map_err(|_| format!("{flag} expects a number, got `{v}`"))
+}
+
 fn parse_backend(value: &str) -> Result<DelayModelChoice, String> {
     match value {
         "dense" => Ok(DelayModelChoice::Dense),
@@ -330,7 +275,6 @@ mod tests {
             "800",
             "--autoscale",
             "--predictive",
-            "--per-region",
             "--threads",
             "4",
             "--epoch-secs",
@@ -345,7 +289,6 @@ mod tests {
         assert_eq!(args.pool_mbps, Some(800));
         assert!(args.autoscale);
         assert!(args.predictive);
-        assert!(args.per_region);
         assert_eq!(args.threads, Some(4));
         assert_eq!(args.epoch_secs, Some(30));
     }
@@ -380,6 +323,8 @@ mod tests {
     #[test]
     fn rejects_unknown_flags_and_bad_values() {
         assert!(parse(&["--wat"]).is_err());
+        // Per-region pools are the spike preset's constant, not a flag.
+        assert!(parse(&["--per-region"]).is_err());
         assert!(parse(&["--viewers"]).is_err());
         assert!(parse(&["--viewers", "lots"]).is_err());
         assert!(parse(&["--backend", "quantum"]).is_err());
@@ -486,7 +431,6 @@ mod tests {
             "--pool-mbps",
             "1",
             "--predictive",
-            "--per-region",
             "--threads",
             "1",
             "--epoch-secs",

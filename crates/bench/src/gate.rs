@@ -180,16 +180,6 @@ impl GateBaseline {
     }
 }
 
-/// The y of the last point of the series labelled `label`.
-fn metric_value(figure: &FigureData, label: &str) -> Option<f64> {
-    figure
-        .series
-        .iter()
-        .find(|s| s.label == label)
-        .and_then(|s| s.points.last())
-        .map(|&(_, y)| y)
-}
-
 /// The machine-local side channel a scenario run leaves next to its
 /// figure: wall-clock seconds plus the exact invocation arguments.
 struct RunMeta {
@@ -273,7 +263,7 @@ pub fn evaluate_scenario(
     let mut report = String::new();
     let mut failures = Vec::new();
     for m in &baseline.metrics {
-        let current = metric_value(&figure, &m.label);
+        let current = figure.scalar(&m.label);
         let verdict = match current {
             Some(c) if m.accepts(c) => "ok",
             Some(_) => "REGRESSED",
@@ -354,7 +344,7 @@ pub fn update_scenario(baseline: &mut ScenarioBaseline, results_dir: &Path) -> R
     })?;
     verify_invocation(baseline, &meta)?;
     for m in &mut baseline.metrics {
-        m.value = metric_value(&figure, &m.label).ok_or_else(|| {
+        m.value = figure.scalar(&m.label).ok_or_else(|| {
             format!(
                 "{}: metric `{}` missing from current results",
                 baseline.name, m.label

@@ -2,7 +2,7 @@
 //! with parallel sweeps for the figure generators.
 
 use telecast::{SessionConfig, TelecastSession};
-use telecast_media::{ArrivalModel, ViewChoice, ViewerWorkload};
+use telecast_media::{ArrivalModel, ViewCatalog, ViewChoice, ViewerWorkload};
 use telecast_sim::{SimDuration, SimRng};
 
 /// One experiment run: a configuration plus a scripted audience.
@@ -47,12 +47,6 @@ impl Scenario {
         self.view_changes_per_viewer = per_viewer;
         self
     }
-
-    /// Adds departures.
-    pub fn with_departures(mut self, fraction: f64) -> Self {
-        self.departure_fraction = fraction;
-        self
-    }
 }
 
 /// Everything the figures read out of one finished run.
@@ -88,14 +82,8 @@ pub struct RunResult {
 
 /// Runs one scenario to completion and snapshots its metrics.
 pub fn run_scenario(scenario: &Scenario) -> RunResult {
-    let catalog_len = {
-        // The catalog size equals the first site's camera count for
-        // canonical views; build cheaply via a probe session of 0 viewers.
-        let probe = TelecastSession::builder(scenario.config.clone())
-            .viewers(0)
-            .build();
-        probe.catalog().len()
-    };
+    let config = &scenario.config;
+    let catalog_len = ViewCatalog::canonical(&config.sites, config.streams_per_local_view).len();
     let mut session = TelecastSession::builder(scenario.config.clone())
         .viewers(scenario.viewers)
         .build();

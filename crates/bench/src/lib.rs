@@ -8,35 +8,36 @@
 //! terminal output. Scenario plumbing lives in [`harness`]; independent
 //! simulation runs of a sweep execute in parallel on the deterministic,
 //! order-preserving executor shared through [`telecast_sim::parallel_map`].
+//! The scale scenarios are data: the churn family is one
+//! [`ChurnScenario`] spec with four [`ChurnPreset`]s and one runner, and
+//! every scenario bin is a one-line call into [`scenario_main`].
 
-pub mod churn;
+pub mod bins;
 pub mod cli;
-pub mod diurnal;
 pub mod figures;
 pub mod gate;
 pub mod harness;
 pub mod json;
-pub mod mega;
-pub mod spike;
+pub mod scenario;
 pub mod sweep;
 pub mod table;
 pub mod tenancy;
 pub mod view_storm;
 
-pub use churn::{autoscale_policy_for, run_churn, ChurnOutcome, ChurnScenario};
+pub use bins::{scenario_main, ScenarioBin, BINS};
 pub use cli::ScenarioArgs;
-pub use diurnal::{run_diurnal, DiurnalOutcome, DiurnalScenario};
 pub use figures::Scale;
 pub use gate::{GateBaseline, MetricCheck, ScenarioBaseline};
 pub use harness::{run_scenario, RunResult, Scenario};
-pub use mega::{run_mega, MegaOutcome, MegaScenario};
-pub use spike::{run_spike, SpikeOutcome, SpikeScenario};
+pub use scenario::{
+    autoscale_policy_for, run_churn, ChurnOutcome, ChurnPreset, ChurnScenario, RateShape, Runtime,
+};
 pub use sweep::{run_epoch_sweep, sweep_figure, SweepCell, SweepScenario};
 pub use table::{FigureData, Series};
 pub use tenancy::{
     run_tenant_mix, tenant_config, tenant_quota, zipf_split, TenantMixOutcome, TenantMixScenario,
 };
-pub use view_storm::{run_view_storm, ViewStormOutcome, ViewStormScenario};
+pub use view_storm::{run_view_storm, ViewStormScenario};
 
 /// Prints a figure's table to stdout and writes `results/<id>.json`.
 ///

@@ -18,23 +18,15 @@
 
 use std::time::Instant;
 
-use crate::mega::{run_mega, MegaScenario};
+use crate::scenario::{run_churn, ChurnPreset, ChurnScenario, Runtime};
 use crate::table::{FigureData, Series};
-use telecast::DelayModelChoice;
 
 /// Parameters of one epoch sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepScenario {
-    /// Target steady-state population per grid point.
-    pub viewers: usize,
-    /// Simulated minutes per grid point.
-    pub minutes: u64,
-    /// Fraction of the population churning per minute.
-    pub churn_per_minute: f64,
-    /// Delay substrate shared by every grid point.
-    pub backend: DelayModelChoice,
-    /// Master seed shared by every grid point.
-    pub seed: u64,
+    /// The workload every grid point runs: the mega-storm preset, whose
+    /// runtime each grid point replaces.
+    pub base: ChurnScenario,
     /// Barrier periods to sweep, in simulated seconds.
     pub epochs_secs: Vec<u64>,
     /// Worker counts to sweep.
@@ -44,15 +36,22 @@ pub struct SweepScenario {
 impl Default for SweepScenario {
     fn default() -> Self {
         SweepScenario {
-            viewers: 100_000,
-            minutes: 10,
-            churn_per_minute: 0.01,
-            backend: DelayModelChoice::Coordinate,
-            seed: MegaScenario::default().seed,
+            base: ChurnScenario {
+                viewers: 100_000,
+                minutes: 10,
+                ..ChurnScenario::preset(ChurnPreset::MegaStorm)
+            },
             epochs_secs: vec![2, 10, 30],
             threads: vec![1, 2, 4],
         }
     }
+}
+
+/// The swept worker counts: powers of two from 1 up to `cap`.
+pub fn thread_grid(cap: usize) -> Vec<usize> {
+    std::iter::successors(Some(1), |&t| Some(t * 2))
+        .take_while(|&t| t <= cap.max(1))
+        .collect()
 }
 
 /// One measured grid point.
@@ -84,18 +83,14 @@ pub fn run_epoch_sweep(scenario: &SweepScenario) -> Vec<SweepCell> {
     let mut cells = Vec::with_capacity(scenario.epochs_secs.len() * scenario.threads.len());
     for &epoch_secs in &scenario.epochs_secs {
         for &threads in &scenario.threads {
-            let mega = MegaScenario {
-                viewers: scenario.viewers,
-                minutes: scenario.minutes,
-                churn_per_minute: scenario.churn_per_minute,
-                backend: scenario.backend,
-                seed: scenario.seed,
-                threads,
-                epoch_secs,
-                ..MegaScenario::default()
-            };
             let started = Instant::now();
-            let outcome = run_mega(&mega);
+            let outcome = run_churn(&ChurnScenario {
+                runtime: Runtime::Sharded {
+                    threads,
+                    epoch_secs,
+                },
+                ..scenario.base
+            });
             let wall_seconds = started.elapsed().as_secs_f64();
             let busy: u64 = outcome.shard_stats.iter().map(|s| s.busy_ns).sum();
             let wall: u64 = outcome
@@ -114,13 +109,18 @@ pub fn run_epoch_sweep(scenario: &SweepScenario) -> Vec<SweepCell> {
                 .map(|s| s.utilization())
                 .fold(f64::INFINITY, f64::min)
                 .min(1.0);
+            let merge_volume = outcome
+                .figure
+                .scalar("cross_shard_messages")
+                .expect("the mega-storm figure exports cross_shard_messages")
+                as u64;
             cells.push(SweepCell {
                 epoch_secs,
                 threads,
                 wall_seconds,
                 barrier_utilization,
                 min_shard_utilization,
-                merge_volume: outcome.cross_shard_messages,
+                merge_volume,
             });
         }
     }
@@ -144,16 +144,17 @@ pub fn sweep_figure(scenario: &SweepScenario, cells: &[SweepCell]) -> FigureData
             )
         })
         .collect();
+    let base = &scenario.base;
     FigureData {
         id: "epoch_sweep".into(),
         title: format!(
             "Epoch sweep: {} viewers, {:.1}%/min churn, {} simulated minutes; epochs {:?}s × threads {:?} ({:?} backend)",
-            scenario.viewers,
-            scenario.churn_per_minute * 100.0,
-            scenario.minutes,
+            base.viewers,
+            base.churn_per_minute * 100.0,
+            base.minutes,
             scenario.epochs_secs,
             scenario.threads,
-            scenario.backend,
+            base.backend,
         ),
         x_label: "worker threads".into(),
         y_label: "cross-shard messages merged".into(),
@@ -167,11 +168,14 @@ mod tests {
 
     fn small() -> SweepScenario {
         SweepScenario {
-            viewers: 600,
-            minutes: 2,
-            churn_per_minute: 0.1,
-            backend: DelayModelChoice::Dense,
-            seed: 11,
+            base: ChurnScenario {
+                viewers: 600,
+                minutes: 2,
+                churn_per_minute: 0.1,
+                backend: telecast::DelayModelChoice::Dense,
+                seed: 11,
+                ..SweepScenario::default().base
+            },
             epochs_secs: vec![5, 30],
             threads: vec![1, 2],
         }

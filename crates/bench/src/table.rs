@@ -49,6 +49,17 @@ pub struct FigureData {
 }
 
 impl FigureData {
+    /// The series labelled `label`.
+    pub fn find(&self, label: &str) -> Option<&Series> {
+        self.series.iter().find(|s| s.label == label)
+    }
+
+    /// The y of the last point of the series labelled `label` — a
+    /// scalar series' value.
+    pub fn scalar(&self, label: &str) -> Option<f64> {
+        self.find(label)?.points.last().map(|&(_, y)| y)
+    }
+
     /// Renders the figure as an aligned text table (x column + one column
     /// per series), the form the `fig*` binaries print.
     pub fn to_table(&self) -> String {

@@ -22,12 +22,15 @@
 //! is byte-identical across runs and machines.
 
 use telecast::{DelayModelChoice, SessionConfig, TenantFleet};
-use telecast_cdn::{CdnConfig, PoolScope, PredictivePolicy, TenantQuota};
-use telecast_media::{ChurnSpec, RateProfile, SpikeWindow};
-use telecast_net::{Bandwidth, BandwidthProfile};
+use telecast_cdn::{PoolScope, TenantQuota};
+use telecast_media::{ChurnSpec, RateProfile};
+use telecast_net::Bandwidth;
 use telecast_sim::{SimDuration, SimTime};
 
-use crate::churn::autoscale_policy_for;
+use crate::scenario::{
+    autoscale_policy_for, base_config, burst_windows, day_minutes, series_from, xy, PoolSizing,
+    PREDICTIVE_POLICY,
+};
 use crate::table::{FigureData, Series};
 
 /// Salt mixed into each tenant's seed so sibling broadcasts draw
@@ -48,9 +51,8 @@ pub struct TenantMixScenario {
     pub minutes: u64,
     /// Fraction of each tenant's population leaving per minute.
     pub churn_per_minute: f64,
-    /// Length of one compressed "day" in minutes.
-    pub day_minutes: u64,
-    /// Diurnal amplitude of the shared baseline, in `[0, 1]`.
+    /// Diurnal amplitude of the shared baseline (one compressed day per
+    /// run), in `[0, 1]`.
     pub amplitude: f64,
     /// Rate multiplier of the headline tenant's burst windows.
     pub spike_multiplier: f64,
@@ -59,9 +61,8 @@ pub struct TenantMixScenario {
     /// Master seed (each tenant derives its own via
     /// [`TENANT_SEED_SALT`]).
     pub seed: u64,
-    /// Starting shared CDN pool in Mbps; `None` provisions
-    /// `4 Mbps × viewers` (min 2000) — sized for the *aggregate*
-    /// audience, not per tenant.
+    /// Starting shared CDN pool in Mbps; `None` applies
+    /// [`PoolSizing::BURST`] to the *aggregate* audience, not per tenant.
     pub pool_mbps: Option<u64>,
     /// Whether the fleet's shared autoscalers run at all.
     pub autoscale: bool,
@@ -78,7 +79,6 @@ impl Default for TenantMixScenario {
             zipf: 1.0,
             minutes: 20,
             churn_per_minute: 0.30,
-            day_minutes: 20,
             amplitude: 0.5,
             spike_multiplier: 6.0,
             backend: DelayModelChoice::Coordinate,
@@ -147,76 +147,34 @@ pub fn tenant_quota(tenants: u32) -> TenantQuota {
 }
 
 impl TenantMixScenario {
-    /// The headline tenant's burst schedule — same shape as the spike
-    /// storm's: two windows at 40% and 70% of the horizon, the second
-    /// half as tall again.
-    pub fn spike_windows(&self) -> Vec<SpikeWindow> {
-        let horizon_secs = self.minutes * 60;
-        let duration = SimDuration::from_secs((horizon_secs / 10).max(60));
-        vec![
-            SpikeWindow {
-                start: SimTime::from_secs(horizon_secs * 2 / 5),
-                duration,
-                multiplier: self.spike_multiplier,
-            },
-            SpikeWindow {
-                start: SimTime::from_secs(horizon_secs * 7 / 10),
-                duration,
-                multiplier: self.spike_multiplier * 1.5,
-            },
-        ]
-    }
-
     /// Tenant `index`'s arrival-rate profile: the shared diurnal wave,
-    /// with the burst windows composed on top for the headline tenant.
+    /// with the spike storm's burst schedule on top for the headline
+    /// tenant.
     pub fn rate_profile(&self, index: usize) -> RateProfile {
-        let day = SimDuration::from_secs(self.day_minutes.max(1) * 60);
-        if index == 0 {
-            RateProfile::diurnal_with_spikes(day, self.amplitude, &self.spike_windows())
+        let day = SimDuration::from_secs(day_minutes(self.minutes, 1) * 60);
+        let windows = if index == 0 {
+            burst_windows(self.minutes, self.spike_multiplier)
         } else {
-            RateProfile::diurnal_with_spikes(day, self.amplitude, &[])
-        }
+            Vec::new()
+        };
+        RateProfile::diurnal_with_spikes(day, self.amplitude, &windows)
     }
 
     /// The shared starting pool.
     pub fn pool(&self) -> Bandwidth {
-        Bandwidth::from_mbps(
-            self.pool_mbps
-                .unwrap_or((self.viewers as u64 * 4).max(2_000)),
-        )
+        PoolSizing::BURST.pool(self.pool_mbps, self.viewers)
     }
 }
 
-/// Deterministic outcome of a tenant-mix run.
+/// What a tenant-mix run leaves besides its figure: only values the
+/// figure does not export.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantMixOutcome {
     /// The exported figure (`results/tenant_mix.json`).
     pub figure: FigureData,
-    /// Steady-state audience per tenant (the Zipf split).
-    pub audiences: Vec<usize>,
-    /// Stream acceptance ratio ρ per tenant at the horizon.
-    pub acceptance_by_tenant: Vec<f64>,
-    /// Bad-join rate per tenant: rejected / (admitted + rejected).
-    pub bad_join_rate_by_tenant: Vec<f64>,
-    /// Viewers rejected at admission per tenant.
-    pub rejected_by_tenant: Vec<u64>,
-    /// Parked joins retried per tenant (fleet-arbitrated drains).
-    pub retries_by_tenant: Vec<u64>,
-    /// Connected population per tenant at the horizon.
+    /// Connected population per tenant at the horizon (the figure
+    /// exports only the sum).
     pub final_population_by_tenant: Vec<usize>,
-    /// Mbps-hours of CDN capacity actually served per tenant.
-    pub served_mbps_hours_by_tenant: Vec<f64>,
-    /// Max − min acceptance ratio across tenants — the fairness spread
-    /// the bench gate pins.
-    pub acceptance_spread: f64,
-    /// Provisioned Mbps-hours billed across the shared pools.
-    pub provisioned_mbps_hours: f64,
-    /// The same bill in dollars at the committed rate.
-    pub provisioned_dollars: f64,
-    /// Shared-controller scale-ups applied.
-    pub autoscale_ups: u64,
-    /// Shared-controller scale-downs applied.
-    pub autoscale_downs: u64,
     /// Mean absolute forecast error of the shared predictive
     /// controllers, in Mbps (stdout-only; not part of the figure).
     pub mean_abs_forecast_error_mbps: Option<f64>,
@@ -228,16 +186,13 @@ pub struct TenantMixOutcome {
 /// the config the conformance suite reuses to run a tenant *solo* on
 /// the same seed (the isolation comparison's control arm).
 pub fn tenant_config(scenario: &TenantMixScenario, index: usize) -> SessionConfig {
-    SessionConfig::default()
-        .with_outbound(BandwidthProfile::uniform_mbps(2, 14))
-        .with_cdn(
-            CdnConfig::default()
-                .with_outbound(scenario.pool())
-                .with_pool_scope(PoolScope::PerRegion),
-        )
-        .with_delay_model(scenario.backend)
-        .with_monitor_period(SimDuration::from_secs(10))
-        .with_seed(scenario.seed ^ TENANT_SEED_SALT.wrapping_mul(index as u64 + 1))
+    let seed = scenario.seed ^ TENANT_SEED_SALT.wrapping_mul(index as u64 + 1);
+    base_config(
+        scenario.pool(),
+        PoolScope::PerRegion,
+        scenario.backend,
+        seed,
+    )
 }
 
 /// Runs the scenario. Pure in the seed: equal scenarios produce equal
@@ -257,11 +212,7 @@ pub fn run_tenant_mix(scenario: &TenantMixScenario) -> TenantMixOutcome {
             fleet_config.with_autoscale(autoscale_policy_for(pool, scenario.viewers * 2));
     }
     if scenario.predictive {
-        fleet_config = fleet_config.with_predictive(PredictivePolicy {
-            horizon: SimDuration::from_secs(45),
-            alpha: 0.5,
-            target_utilisation: 0.95,
-        });
+        fleet_config = fleet_config.with_predictive(PREDICTIVE_POLICY);
     }
     let epoch = fleet_config
         .autoscale
@@ -273,7 +224,7 @@ pub fn run_tenant_mix(scenario: &TenantMixScenario) -> TenantMixOutcome {
     let quota = tenant_quota(scenario.tenants);
     for (i, &audience) in audiences.iter().enumerate() {
         // Twice the steady audience in provisioned gateways, like the
-        // single-tenant storms: bursts add real viewers.
+        // spike storm: bursts add real viewers.
         let idx = fleet.add_tenant(&tenant_config(scenario, i), quota, (audience * 2).max(2));
         let spec = ChurnSpec::steady_state(audience, scenario.churn_per_minute)
             .with_rate_profile(scenario.rate_profile(i));
@@ -281,80 +232,57 @@ pub fn run_tenant_mix(scenario: &TenantMixScenario) -> TenantMixOutcome {
     }
     fleet.run_until(horizon);
 
-    let mut acceptance_by_tenant = Vec::with_capacity(m);
-    let mut bad_join_rate_by_tenant = Vec::with_capacity(m);
-    let mut rejected_by_tenant = Vec::with_capacity(m);
-    let mut retries_by_tenant = Vec::with_capacity(m);
-    let mut final_population_by_tenant = Vec::with_capacity(m);
-    let mut served_mbps_hours_by_tenant = Vec::with_capacity(m);
-    let mut population_series = Vec::with_capacity(m);
-    for i in 0..m {
-        let session = fleet.session(i);
-        let metrics = session.metrics();
-        acceptance_by_tenant.push(metrics.acceptance_ratio());
-        bad_join_rate_by_tenant.push(bad_join_rate(
-            metrics.admitted_viewers.value(),
-            metrics.rejected_viewers.value(),
-        ));
-        rejected_by_tenant.push(metrics.rejected_viewers.value());
-        retries_by_tenant.push(metrics.join_retries.value());
-        final_population_by_tenant.push(session.connected_viewers());
-        served_mbps_hours_by_tenant.push(fleet.served_mbps_hours(i));
-        population_series.push((
-            format!("population_tenant_{i}"),
-            metrics
-                .population
-                .points()
-                .iter()
-                .map(|&(at, v)| (at.as_secs_f64(), v))
-                .collect::<Vec<(f64, f64)>>(),
-        ));
-    }
-    let acceptance_spread = acceptance_by_tenant
-        .iter()
-        .fold(f64::NEG_INFINITY, |a, &b| a.max(b))
-        - acceptance_by_tenant
-            .iter()
-            .fold(f64::INFINITY, |a, &b| a.min(b));
-    let provisioned_mbps_hours = fleet.provisioned_mbps_hours_at(horizon);
-    let provisioned_dollars = fleet.provisioned_dollars_at(horizon);
-
-    let per_tenant = |values: &[f64]| -> Vec<(f64, f64)> {
-        values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (i as f64, v))
-            .collect()
-    };
+    let fleet = &fleet;
+    let metrics = |i: usize| fleet.session(i).metrics();
+    let acceptance: Vec<f64> = (0..m).map(|i| metrics(i).acceptance_ratio()).collect();
+    let final_population_by_tenant: Vec<usize> = (0..m)
+        .map(|i| fleet.session(i).connected_viewers())
+        .collect();
     let x = scenario.viewers as f64;
-    let mut series = Vec::new();
-    for (label, points) in &population_series {
-        series.push(Series::new(label.clone(), points.clone()));
-    }
-    series.extend([
-        Series::new(
-            "audience_by_tenant",
-            per_tenant(&audiences.iter().map(|&a| a as f64).collect::<Vec<_>>()),
-        ),
-        Series::new("acceptance_by_tenant", per_tenant(&acceptance_by_tenant)),
-        Series::new(
-            "bad_join_rate_by_tenant",
-            per_tenant(&bad_join_rate_by_tenant),
-        ),
-        Series::new(
-            "served_mbps_hours_by_tenant",
-            per_tenant(&served_mbps_hours_by_tenant),
-        ),
-        Series::new("acceptance_spread", vec![(x, acceptance_spread)]),
-        Series::new("provisioned_mbps_hours", vec![(x, provisioned_mbps_hours)]),
-        Series::new("provisioned_dollars", vec![(x, provisioned_dollars)]),
-        Series::new("autoscale_ups", vec![(x, fleet.autoscale_ups() as f64)]),
-        Series::new("autoscale_downs", vec![(x, fleet.autoscale_downs() as f64)]),
-        Series::new(
-            "final_population",
-            vec![(x, final_population_by_tenant.iter().sum::<usize>() as f64)],
-        ),
-    ]);
+    let mut series: Vec<Series> = (0..m)
+        .map(|i| Series::new(format!("population_tenant_{i}"), xy(&metrics(i).population)))
+        .collect();
+    let labels = [
+        "audience_by_tenant",
+        "acceptance_by_tenant",
+        "bad_join_rate_by_tenant",
+        "served_mbps_hours_by_tenant",
+        "acceptance_spread",
+        "provisioned_mbps_hours",
+        "provisioned_dollars",
+        "autoscale_ups",
+        "autoscale_downs",
+        "final_population",
+    ];
+    series.extend(series_from(&labels, |label| {
+        let per_tenant =
+            |f: &dyn Fn(usize) -> f64| Some((0..m).map(|i| (i as f64, f(i))).collect());
+        let value = match label {
+            "audience_by_tenant" => return per_tenant(&|i| audiences[i] as f64),
+            "acceptance_by_tenant" => return per_tenant(&|i| acceptance[i]),
+            "bad_join_rate_by_tenant" => {
+                return per_tenant(&|i| {
+                    let tenant = metrics(i);
+                    bad_join_rate(
+                        tenant.admitted_viewers.value(),
+                        tenant.rejected_viewers.value(),
+                    )
+                })
+            }
+            "served_mbps_hours_by_tenant" => return per_tenant(&|i| fleet.served_mbps_hours(i)),
+            "acceptance_spread" => {
+                acceptance.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b))
+                    - acceptance.iter().fold(f64::INFINITY, |a, &b| a.min(b))
+            }
+            "provisioned_mbps_hours" => fleet.provisioned_mbps_hours_at(horizon),
+            "provisioned_dollars" => fleet.provisioned_dollars_at(horizon),
+            "autoscale_ups" => fleet.autoscale_ups() as f64,
+            "autoscale_downs" => fleet.autoscale_downs() as f64,
+            "final_population" => final_population_by_tenant.iter().sum::<usize>() as f64,
+            _ => return None,
+        };
+        Some(vec![(x, value)])
+    }));
 
     let figure = FigureData {
         id: "tenant_mix".into(),
@@ -380,18 +308,7 @@ pub fn run_tenant_mix(scenario: &TenantMixScenario) -> TenantMixOutcome {
     };
     TenantMixOutcome {
         figure,
-        audiences,
-        acceptance_by_tenant,
-        bad_join_rate_by_tenant,
-        rejected_by_tenant,
-        retries_by_tenant,
         final_population_by_tenant,
-        served_mbps_hours_by_tenant,
-        acceptance_spread,
-        provisioned_mbps_hours,
-        provisioned_dollars,
-        autoscale_ups: fleet.autoscale_ups(),
-        autoscale_downs: fleet.autoscale_downs(),
         mean_abs_forecast_error_mbps: fleet.mean_abs_forecast_error_mbps(),
         forecasts_scored: fleet.forecast_errors().len(),
     }
@@ -418,7 +335,6 @@ mod tests {
             zipf: 1.0,
             minutes: 10,
             churn_per_minute: 0.3,
-            day_minutes: 10,
             amplitude: 0.5,
             spike_multiplier: 6.0,
             backend: DelayModelChoice::Dense,
@@ -458,10 +374,11 @@ mod tests {
     #[test]
     fn mix_runs_and_exports_per_tenant_series() {
         let outcome = run_tenant_mix(&small(3));
-        assert_eq!(outcome.audiences.len(), 3);
+        let figure = &outcome.figure;
+        assert_eq!(figure.find("audience_by_tenant").unwrap().points.len(), 3);
         assert!(outcome.final_population_by_tenant.iter().all(|&p| p > 0));
-        assert!(outcome.acceptance_spread >= 0.0);
-        assert!(outcome.provisioned_mbps_hours > 0.0);
+        assert!(figure.scalar("acceptance_spread").unwrap() >= 0.0);
+        assert!(figure.scalar("provisioned_mbps_hours").unwrap() > 0.0);
         let labels: Vec<&str> = outcome
             .figure
             .series

@@ -16,14 +16,15 @@
 //! byte-identical across runs and machines.
 
 use telecast::{DelayModelChoice, SessionConfig, TelecastSession};
-use telecast_cdn::CdnConfig;
+use telecast_cdn::PoolScope;
 use telecast_media::{
-    ArrivalModel, ProducerSite, RefocusEvent, SiteId, ViewId, ViewPopularity, ViewerWorkload,
+    ArrivalModel, ProducerSite, RefocusEvent, SiteId, ViewCatalog, ViewId, ViewPopularity,
+    ViewerWorkload,
 };
-use telecast_net::{Bandwidth, BandwidthProfile};
 use telecast_sim::{SimDuration, SimRng, SimTime};
 
-use crate::table::{FigureData, Series};
+use crate::scenario::{base_config, metric_points, series_from, PoolSizing};
+use crate::table::FigureData;
 
 /// Parameters of one view-storm run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,8 +44,8 @@ pub struct ViewStormScenario {
     pub backend: DelayModelChoice,
     /// Master seed (config and workload).
     pub seed: u64,
-    /// Starting CDN outbound pool in Mbps; `None` keeps the
-    /// population-scaled provisioning shared with the churn bins.
+    /// Starting CDN outbound pool in Mbps; `None` applies
+    /// [`PoolSizing::POPULATION`].
     pub pool_mbps: Option<u64>,
     /// Member floor of the per-view prune pass
     /// ([`SessionConfig::prune_member_floor`]).
@@ -72,44 +73,11 @@ impl Default for ViewStormScenario {
     }
 }
 
-/// Deterministic outcome of a view-storm run (everything the JSON
-/// reports, plus the raw counters the binary prints).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ViewStormOutcome {
-    /// The exported figure (`results/view_storm.json`).
-    pub figure: FigureData,
-    /// Connected population at the horizon.
-    pub final_population: usize,
-    /// View changes processed (switch-latency samples plus starved
-    /// switches).
-    pub switches: u64,
-    /// p99 switch latency (leave-old-tree → first-frame-on-new-tree).
-    pub switch_p99_ms: f64,
-    /// Switches whose CDN fast path granted no temporary lease.
-    pub switch_starved: u64,
-    /// Wasted subtree bandwidth in Mbps·hours.
-    pub wasted_mbps_hours: f64,
-    /// CDN-rooted fragments folded under P2P parents by the prune pass.
-    pub fragments_merged: u64,
-    /// Drained view groups retired by the prune pass.
-    pub groups_retired: u64,
-    /// CDN capacity returned by prune merges, in Mbps.
-    pub reclaimed_mbps: f64,
-    /// Stream acceptance ratio ρ at the horizon.
-    pub acceptance_ratio: f64,
-    /// Peak CDN outbound usage in Mbps.
-    pub peak_cdn_mbps: f64,
-}
-
 /// The scenario's session configuration: the paper's setup with the
 /// camera ring widened to `views` views per site, the CDN pool scaled
 /// to the population, and the prune pass armed at the scenario's floor.
 fn storm_config(scenario: &ViewStormScenario) -> SessionConfig {
-    let pool = Bandwidth::from_mbps(
-        scenario
-            .pool_mbps
-            .unwrap_or((scenario.viewers as u64 * 5).max(3_000)),
-    );
+    let pool = PoolSizing::POPULATION.pool(scenario.pool_mbps, scenario.viewers);
     let cameras = u16::try_from(scenario.views).expect("--views fits a camera ring");
     SessionConfig {
         sites: vec![
@@ -117,14 +85,9 @@ fn storm_config(scenario: &ViewStormScenario) -> SessionConfig {
             ProducerSite::ring(SiteId::new(1), cameras, 2_000, 10),
         ],
         streams_per_local_view: scenario.views.min(3),
-        ..SessionConfig::default()
+        ..base_config(pool, PoolScope::Global, scenario.backend, scenario.seed)
     }
-    .with_outbound(BandwidthProfile::uniform_mbps(2, 14))
-    .with_cdn(CdnConfig::default().with_outbound(pool))
-    .with_delay_model(scenario.backend)
-    .with_monitor_period(SimDuration::from_secs(10))
     .with_prune_floor(scenario.prune_floor)
-    .with_seed(scenario.seed)
 }
 
 /// The audience script: staggered arrivals over the first minute, Zipf
@@ -153,15 +116,13 @@ fn storm_workload(scenario: &ViewStormScenario, catalog_len: usize) -> ViewerWor
         .build(&mut rng)
 }
 
-/// Runs the scenario and collapses it into the exported figure. Pure in
-/// the seed: equal scenarios produce equal (`==`, and byte-identical
-/// JSON) outcomes regardless of host, thread count or repetition.
-pub fn run_view_storm(scenario: &ViewStormScenario) -> ViewStormOutcome {
+/// Runs the scenario and collapses it into the exported figure
+/// (`results/view_storm.json`). Pure in the seed: equal scenarios
+/// export byte-identical JSON regardless of host, thread count or
+/// repetition.
+pub fn run_view_storm(scenario: &ViewStormScenario) -> FigureData {
     let config = storm_config(scenario);
-    let catalog_len = {
-        let probe = TelecastSession::builder(config.clone()).viewers(0).build();
-        probe.catalog().len()
-    };
+    let catalog_len = ViewCatalog::canonical(&config.sites, config.streams_per_local_view).len();
     assert_eq!(
         catalog_len, scenario.views,
         "canonical catalog does not match --views"
@@ -172,16 +133,25 @@ pub fn run_view_storm(scenario: &ViewStormScenario) -> ViewStormOutcome {
     let workload = storm_workload(scenario, catalog_len);
     session.run_workload(&workload);
 
-    let m = session.metrics();
     let x = scenario.viewers as f64;
-    let population_series: Vec<(f64, f64)> = m
-        .population
-        .points()
-        .iter()
-        .map(|&(at, v)| (at.as_secs_f64(), v))
-        .collect();
-    let switches = m.switch_latency_ms.samples().len() as u64 + m.switch_starved.value();
-    let figure = FigureData {
+    let labels = [
+        "population_over_time",
+        "acceptance_ratio",
+        "final_population",
+        "view_changes",
+        "switch_latency_p50_ms",
+        "switch_latency_p99_ms",
+        "switch_starved",
+        "wasted_mbps_hours",
+        "fragments_merged",
+        "groups_retired",
+        "prune_reclaimed_mbps",
+        "victims",
+        "displacements",
+        "peak_cdn_mbps",
+        "view_change_delay_p99_ms",
+    ];
+    FigureData {
         id: "view_storm".into(),
         title: format!(
             "View storm: {} viewers over {} views (Zipf {}), {:.0}% re-focus storms, \
@@ -195,54 +165,10 @@ pub fn run_view_storm(scenario: &ViewStormScenario) -> ViewStormOutcome {
         ),
         x_label: "viewers (scalars) / seconds (population)".into(),
         y_label: "per-metric value".into(),
-        series: vec![
-            Series::new("population_over_time", population_series),
-            Series::new("acceptance_ratio", vec![(x, m.acceptance_ratio())]),
-            Series::new(
-                "final_population",
-                vec![(x, session.connected_viewers() as f64)],
-            ),
-            Series::new("view_changes", vec![(x, switches as f64)]),
-            Series::new(
-                "switch_latency_p50_ms",
-                vec![(x, m.switch_latency_ms.percentile(50.0).unwrap_or(0.0))],
-            ),
-            Series::new(
-                "switch_latency_p99_ms",
-                vec![(x, m.switch_latency_ms.percentile(99.0).unwrap_or(0.0))],
-            ),
-            Series::new("switch_starved", vec![(x, m.switch_starved.value() as f64)]),
-            Series::new("wasted_mbps_hours", vec![(x, m.wasted_mbps_hours())]),
-            Series::new(
-                "fragments_merged",
-                vec![(x, m.fragments_merged.value() as f64)],
-            ),
-            Series::new("groups_retired", vec![(x, m.groups_retired.value() as f64)]),
-            Series::new(
-                "prune_reclaimed_mbps",
-                vec![(x, m.prune_reclaimed_kbps.value() as f64 / 1_000.0)],
-            ),
-            Series::new("victims", vec![(x, m.victims.value() as f64)]),
-            Series::new("displacements", vec![(x, m.displacements.value() as f64)]),
-            Series::new("peak_cdn_mbps", vec![(x, m.peak_cdn_mbps())]),
-            Series::new(
-                "view_change_delay_p99_ms",
-                vec![(x, m.view_change_delays_ms.percentile(99.0).unwrap_or(0.0))],
-            ),
-        ],
-    };
-    ViewStormOutcome {
-        final_population: session.connected_viewers(),
-        switches,
-        switch_p99_ms: m.switch_latency_ms.percentile(99.0).unwrap_or(0.0),
-        switch_starved: m.switch_starved.value(),
-        wasted_mbps_hours: m.wasted_mbps_hours(),
-        fragments_merged: m.fragments_merged.value(),
-        groups_retired: m.groups_retired.value(),
-        reclaimed_mbps: m.prune_reclaimed_kbps.value() as f64 / 1_000.0,
-        acceptance_ratio: m.acceptance_ratio(),
-        peak_cdn_mbps: m.peak_cdn_mbps(),
-        figure,
+        series: series_from(&labels, |label| match label {
+            "final_population" => Some(vec![(x, session.connected_viewers() as f64)]),
+            _ => metric_points(session.metrics(), label, x),
+        }),
     }
 }
 
@@ -265,28 +191,29 @@ mod tests {
     /// and prunes the abandoned trees.
     #[test]
     fn small_storm_switches_and_prunes() {
-        let outcome = run_view_storm(&small());
-        assert!(outcome.final_population > 0, "audience collapsed");
+        let figure = run_view_storm(&small());
+        let value = |label| figure.scalar(label).unwrap();
+        assert!(value("final_population") > 0.0, "audience collapsed");
+        let switches = value("view_changes");
         assert!(
-            outcome.switches > 300,
-            "three 50% storms over 300 viewers produced only {} switches",
-            outcome.switches
+            switches > 300.0,
+            "three 50% storms over 300 viewers produced only {switches} switches"
         );
         assert!(
-            outcome.switch_p99_ms > 0.0 || outcome.switch_starved == outcome.switches,
+            value("switch_latency_p99_ms") > 0.0 || value("switch_starved") == switches,
             "switches happened but no latency was measured"
         );
         assert!(
-            outcome.wasted_mbps_hours > 0.0,
+            value("wasted_mbps_hours") > 0.0,
             "switching away wasted no subtree bandwidth"
         );
         assert!(
-            outcome.fragments_merged > 0,
+            value("fragments_merged") > 0.0,
             "storms fragmented trees but nothing merged"
         );
     }
 
-    /// Equal scenarios produce equal outcomes (the JSON byte-identity
+    /// Equal scenarios produce equal figures (the JSON byte-identity
     /// check lives in the conformance suite).
     #[test]
     fn outcome_is_deterministic() {

@@ -4,7 +4,7 @@
 //! diurnal-wave scenario exports byte-identical JSON whose provisioned
 //! capacity tracks the audience wave.
 
-use telecast_bench::{run_churn, run_diurnal, ChurnScenario, DiurnalScenario};
+use telecast_bench::{run_churn, ChurnOutcome, ChurnPreset, ChurnScenario, RateShape};
 
 /// An under-provisioned churn storm: 400 viewers against a 200 Mbps
 /// starting pool (the historical provisioning would be 2000 Mbps).
@@ -17,21 +17,40 @@ fn tight_storm(seed: u64, autoscale: bool) -> ChurnScenario {
         seed,
         pool_mbps: Some(200),
         autoscale,
+        ..ChurnScenario::preset(ChurnPreset::ChurnStorm)
     }
 }
 
-fn small_wave(seed: u64, autoscale: bool) -> DiurnalScenario {
-    DiurnalScenario {
+/// Three 10-minute days over 30 minutes.
+fn small_wave(seed: u64, autoscale: bool) -> ChurnScenario {
+    ChurnScenario {
         viewers: 300,
         minutes: 30,
         churn_per_minute: 0.3,
-        day_minutes: 10,
-        amplitude: 0.9,
+        shape: RateShape::Diurnal {
+            days: 3,
+            amplitude: 0.9,
+        },
         backend: telecast::DelayModelChoice::Dense,
         seed,
         pool_mbps: Some(150),
         autoscale,
+        ..ChurnScenario::preset(ChurnPreset::DiurnalWave)
     }
+}
+
+/// The exported scalar `label`.
+fn scalar(outcome: &ChurnOutcome, label: &str) -> f64 {
+    outcome.figure.scalar(label).expect(label)
+}
+
+/// The exported provisioned-capacity samples (seconds, Mbps).
+fn provisioned_series(outcome: &ChurnOutcome) -> &[(f64, f64)] {
+    &outcome
+        .figure
+        .find("provisioned_mbps_over_time")
+        .expect("provisioned series")
+        .points
 }
 
 /// The acceptance bar of the tentpole: on the same seed, the elastic
@@ -42,24 +61,29 @@ fn autoscale_beats_the_static_pool_on_the_same_seed() {
     let static_run = run_churn(&tight_storm(42, false));
     let elastic_run = run_churn(&tight_storm(42, true));
 
-    assert_eq!(static_run.autoscale_ups, 0);
+    assert_eq!(scalar(&static_run, "autoscale_ups"), 0.0);
     assert_eq!(
         static_run.final_provisioned_mbps, 200.0,
         "static pool moved without an autoscaler"
     );
     assert!(
-        elastic_run.autoscale_ups > 0,
+        scalar(&elastic_run, "autoscale_ups") > 0.0,
         "the saturated pool never scaled up"
     );
+    let (elastic_rho, static_rho) = (
+        scalar(&elastic_run, "acceptance_ratio"),
+        scalar(&static_run, "acceptance_ratio"),
+    );
     assert!(
-        elastic_run.acceptance_ratio > static_run.acceptance_ratio,
-        "elastic {:.3} should beat static {:.3}",
-        elastic_run.acceptance_ratio,
-        static_run.acceptance_ratio
+        elastic_rho > static_rho,
+        "elastic {elastic_rho:.3} should beat static {static_rho:.3}"
     );
     // Parked joins were retried and the queue drained: once the pool
     // grew past the demand no rejection re-parks, so nothing lingers.
-    assert!(elastic_run.join_retries > 0, "no parked join was retried");
+    assert!(
+        scalar(&elastic_run, "join_retries") > 0.0,
+        "no parked join was retried"
+    );
     assert_eq!(
         elastic_run.retry_queue_len, 0,
         "retry queue still holds parked joins at the horizon"
@@ -71,10 +95,10 @@ fn autoscale_beats_the_static_pool_on_the_same_seed() {
 /// byte-identical JSON, different seeds do not.
 #[test]
 fn diurnal_wave_json_is_byte_identical_per_seed() {
-    let a = run_diurnal(&small_wave(9, true)).figure.to_json();
-    let b = run_diurnal(&small_wave(9, true)).figure.to_json();
+    let a = run_churn(&small_wave(9, true)).figure.to_json();
+    let b = run_churn(&small_wave(9, true)).figure.to_json();
     assert_eq!(a, b, "same-seed diurnal exports diverged");
-    let c = run_diurnal(&small_wave(10, true)).figure.to_json();
+    let c = run_churn(&small_wave(10, true)).figure.to_json();
     assert_ne!(a, c, "different seeds produced identical exports");
 }
 
@@ -83,49 +107,44 @@ fn diurnal_wave_json_is_byte_identical_per_seed() {
 /// while a static run's provisioned line never moves.
 #[test]
 fn provisioned_capacity_tracks_the_diurnal_wave() {
-    let elastic = run_diurnal(&small_wave(17, true));
+    let elastic = run_churn(&small_wave(17, true));
+    let ups = scalar(&elastic, "autoscale_ups");
     assert!(
-        elastic.autoscale_ups >= 2,
-        "expected repeated scale-ups across days, got {}",
-        elastic.autoscale_ups
+        ups >= 2.0,
+        "expected repeated scale-ups across days, got {ups}"
     );
     assert!(
-        elastic.autoscale_downs >= 1,
+        scalar(&elastic, "autoscale_downs") >= 1.0,
         "capacity was never released in a trough"
     );
-    let start = elastic.provisioned_series.first().expect("samples").1;
-    let peak = elastic
-        .provisioned_series
-        .iter()
-        .map(|&(_, v)| v)
-        .fold(0.0_f64, f64::max);
+    let provisioned = provisioned_series(&elastic);
+    let start = provisioned.first().expect("samples").1;
+    let peak = provisioned.iter().map(|&(_, v)| v).fold(0.0_f64, f64::max);
     assert!(
         peak > start,
         "provisioned capacity never rose above the starting pool"
     );
     // After the peak the staircase steps back down.
-    let peak_at = elastic
-        .provisioned_series
+    let peak_at = provisioned
         .iter()
         .position(|&(_, v)| v == peak)
         .expect("peak sample exists");
     assert!(
-        elastic.provisioned_series[peak_at..]
-            .iter()
-            .any(|&(_, v)| v < peak),
+        provisioned[peak_at..].iter().any(|&(_, v)| v < peak),
         "the staircase never came down after its peak"
     );
-    assert!(elastic.provisioned_dollars > 0.0);
+    assert!(scalar(&elastic, "provisioned_dollars") > 0.0);
 
-    let static_run = run_diurnal(&small_wave(17, false));
+    let static_run = run_churn(&small_wave(17, false));
+    let provisioned = provisioned_series(&static_run);
     assert!(
-        static_run
-            .provisioned_series
-            .iter()
-            .all(|&(_, v)| v == static_run.provisioned_series[0].1),
+        provisioned.iter().all(|&(_, v)| v == provisioned[0].1),
         "a static pool's provisioned line moved"
     );
-    assert_eq!(static_run.autoscale_ups + static_run.autoscale_downs, 0);
+    assert_eq!(
+        scalar(&static_run, "autoscale_ups") + scalar(&static_run, "autoscale_downs"),
+        0.0
+    );
 }
 
 /// The repository's committed `results/` directory.
@@ -137,18 +156,18 @@ fn results_dir() -> std::path::PathBuf {
 /// `results/replay_diurnal.json`: the CI scenario's defaults (coordinate
 /// backend, 10%/min churn, 80% amplitude, a day a third of the run, the
 /// tight default pool, autoscale on) at 600 viewers for 12 minutes.
-fn replay_wave() -> DiurnalScenario {
-    DiurnalScenario {
+fn replay_wave() -> ChurnScenario {
+    ChurnScenario {
         viewers: 600,
         minutes: 12,
-        day_minutes: 4,
-        ..DiurnalScenario::default()
+        autoscale: true,
+        ..ChurnScenario::preset(ChurnPreset::DiurnalWave)
     }
 }
 
 #[test]
 fn diurnal_wave_replays_its_committed_small_reference_byte_identically() {
-    let wave = run_diurnal(&replay_wave()).figure.to_json();
+    let wave = run_churn(&replay_wave()).figure.to_json();
     let committed = std::fs::read_to_string(results_dir().join("replay_diurnal.json"))
         .expect("missing results/replay_diurnal.json — run the ignored regenerate test");
     assert_eq!(
@@ -165,7 +184,7 @@ fn diurnal_wave_replays_its_committed_small_reference_byte_identically() {
 fn regenerate_diurnal_replay_reference() {
     std::fs::write(
         results_dir().join("replay_diurnal.json"),
-        run_diurnal(&replay_wave()).figure.to_json(),
+        run_churn(&replay_wave()).figure.to_json(),
     )
     .unwrap();
 }

@@ -4,7 +4,7 @@
 //! drives the same spec through the scripted path.
 
 use telecast::{SessionConfig, TelecastSession};
-use telecast_bench::{run_churn, ChurnScenario};
+use telecast_bench::{run_churn, ChurnPreset, ChurnScenario};
 use telecast_media::ChurnSpec;
 use telecast_net::BandwidthProfile;
 use telecast_sim::{parallel_map_with, SimRng, SimTime};
@@ -16,7 +16,7 @@ fn small_scenario(seed: u64) -> ChurnScenario {
         churn_per_minute: 0.05,
         backend: telecast::DelayModelChoice::Dense,
         seed,
-        ..ChurnScenario::default()
+        ..ChurnScenario::preset(ChurnPreset::ChurnStorm)
     }
 }
 

@@ -108,16 +108,18 @@ fn workload_scripts_are_reproducible() {
 
 fn small_mega(seed: u64, threads: usize) -> String {
     use telecast::DelayModelChoice;
-    use telecast_bench::{run_mega, MegaScenario};
-    run_mega(&MegaScenario {
+    use telecast_bench::{run_churn, ChurnPreset, ChurnScenario, Runtime};
+    run_churn(&ChurnScenario {
         viewers: 800,
         minutes: 2,
         churn_per_minute: 0.1,
         backend: DelayModelChoice::Dense,
         seed,
-        threads,
-        epoch_secs: 5,
-        ..MegaScenario::default()
+        runtime: Runtime::Sharded {
+            threads,
+            epoch_secs: 5,
+        },
+        ..ChurnScenario::preset(ChurnPreset::MegaStorm)
     })
     .figure
     .to_json()

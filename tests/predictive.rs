@@ -8,7 +8,7 @@
 use std::sync::OnceLock;
 
 use telecast::{SessionConfig, TelecastSession};
-use telecast_bench::{run_spike, SpikeOutcome, SpikeScenario};
+use telecast_bench::{run_churn, ChurnOutcome, ChurnPreset, ChurnScenario};
 use telecast_cdn::{split_capacity, AutoscalePolicy, PoolScope};
 use telecast_net::{Bandwidth, Region};
 use telecast_sim::SimTime;
@@ -16,28 +16,42 @@ use telecast_sim::SimTime;
 /// The conformance storm: a small spike-storm instance (dense backend,
 /// 400 steady viewers) with the scenario's default burst schedule and a
 /// post-burst trough tail.
-fn storm(predictive: bool) -> SpikeScenario {
-    SpikeScenario {
+fn storm(predictive: bool) -> ChurnScenario {
+    ChurnScenario {
         viewers: 400,
         minutes: 30,
         churn_per_minute: 0.3,
-        day_minutes: 30,
-        amplitude: 0.5,
-        spike_multiplier: 6.0,
         backend: telecast::DelayModelChoice::Dense,
         seed: 61,
         pool_mbps: Some(1_600),
         autoscale: true,
         predictive,
-        per_region: true,
+        ..ChurnScenario::preset(ChurnPreset::SpikeStorm)
     }
 }
 
 /// The predictive run several tests assert against, computed once (the
 /// debug-build spike run is the expensive part of this suite).
-fn predictive_outcome() -> &'static SpikeOutcome {
-    static OUTCOME: OnceLock<SpikeOutcome> = OnceLock::new();
-    OUTCOME.get_or_init(|| run_spike(&storm(true)))
+fn predictive_outcome() -> &'static ChurnOutcome {
+    static OUTCOME: OnceLock<ChurnOutcome> = OnceLock::new();
+    OUTCOME.get_or_init(|| run_churn(&storm(true)))
+}
+
+/// The exported scalar `label`.
+fn scalar(outcome: &ChurnOutcome, label: &str) -> f64 {
+    outcome.figure.scalar(label).expect(label)
+}
+
+/// The exported per-region provisioned series, in region order.
+fn provisioned_by_region(outcome: &ChurnOutcome) -> Vec<(String, &[(f64, f64)])> {
+    Region::ALL
+        .iter()
+        .filter_map(|region| {
+            let label = format!("provisioned_mbps_{region}");
+            let series = outcome.figure.find(&label)?;
+            Some((label, series.points.as_slice()))
+        })
+        .collect()
 }
 
 /// The tentpole's acceptance bar: on equal seeds, predictive beats
@@ -45,33 +59,37 @@ fn predictive_outcome() -> &'static SpikeOutcome {
 /// Mbps-hours.
 #[test]
 fn predictive_beats_reactive_on_the_same_seed() {
-    let reactive = run_spike(&storm(false));
+    let reactive = run_churn(&storm(false));
     let predictive = predictive_outcome();
 
-    let reactive_bad = reactive.rejected_joins + reactive.join_retries;
-    let predictive_bad = predictive.rejected_joins + predictive.join_retries;
+    let bad = |o| scalar(o, "rejected_joins") + scalar(o, "join_retries");
+    let (reactive_bad, predictive_bad) = (bad(&reactive), bad(predictive));
     assert!(
         predictive_bad < reactive_bad,
         "predictive {predictive_bad} rejected+retried should beat reactive {reactive_bad}"
     );
-    assert!(
-        predictive.acceptance_ratio >= reactive.acceptance_ratio,
-        "predictive ρ {:.3} fell below reactive ρ {:.3}",
-        predictive.acceptance_ratio,
-        reactive.acceptance_ratio
+    let (predictive_rho, reactive_rho) = (
+        scalar(predictive, "acceptance_ratio"),
+        scalar(&reactive, "acceptance_ratio"),
     );
     assert!(
-        predictive.provisioned_mbps_hours <= reactive.provisioned_mbps_hours,
-        "predictive cost {:.0} Mbps-h exceeds reactive {:.0} Mbps-h",
-        predictive.provisioned_mbps_hours,
-        reactive.provisioned_mbps_hours
+        predictive_rho >= reactive_rho,
+        "predictive ρ {predictive_rho:.3} fell below reactive ρ {reactive_rho:.3}"
+    );
+    let (predictive_cost, reactive_cost) = (
+        scalar(predictive, "provisioned_mbps_hours"),
+        scalar(&reactive, "provisioned_mbps_hours"),
+    );
+    assert!(
+        predictive_cost <= reactive_cost,
+        "predictive cost {predictive_cost:.0} Mbps-h exceeds reactive {reactive_cost:.0} Mbps-h"
     );
     // Both controllers actually scaled, and the predictive one also
     // released capacity (the reactive laggard's blind spot).
-    assert!(reactive.autoscale_ups > 0);
-    assert!(predictive.autoscale_ups > 0);
+    assert!(scalar(&reactive, "autoscale_ups") > 0.0);
+    assert!(scalar(predictive, "autoscale_ups") > 0.0);
     assert!(
-        predictive.autoscale_downs > reactive.autoscale_downs,
+        scalar(predictive, "autoscale_downs") > scalar(&reactive, "autoscale_downs"),
         "the forecast never released capacity ahead of the troughs"
     );
     assert_eq!(predictive.retry_queue_len, 0, "parked joins never drained");
@@ -81,9 +99,9 @@ fn predictive_beats_reactive_on_the_same_seed() {
 #[test]
 fn spike_storm_json_is_byte_identical_per_seed() {
     let a = predictive_outcome().figure.to_json();
-    let b = run_spike(&storm(true)).figure.to_json();
+    let b = run_churn(&storm(true)).figure.to_json();
     assert_eq!(a, b, "same-seed spike exports diverged");
-    let c = run_spike(&SpikeScenario {
+    let c = run_churn(&ChurnScenario {
         seed: 62,
         ..storm(true)
     })
@@ -96,10 +114,10 @@ fn spike_storm_json_is_byte_identical_per_seed() {
 /// series respect the weight split at the start of the run.
 #[test]
 fn per_region_series_start_at_the_weight_split() {
-    let outcome = predictive_outcome();
-    assert_eq!(outcome.provisioned_by_region.len(), Region::ALL.len());
+    let by_region = provisioned_by_region(predictive_outcome());
+    assert_eq!(by_region.len(), Region::ALL.len());
     let slots = split_capacity(Bandwidth::from_mbps(1_600), PoolScope::PerRegion);
-    for (slot, (label, points)) in outcome.provisioned_by_region.iter().enumerate() {
+    for (slot, (label, points)) in by_region.iter().enumerate() {
         let first = points.first().expect("series sampled").1;
         assert_eq!(
             first,
@@ -108,8 +126,7 @@ fn per_region_series_start_at_the_weight_split() {
         );
     }
     // Conservation at t=0: the per-region shares sum to the global pool.
-    let sum: f64 = outcome
-        .provisioned_by_region
+    let sum: f64 = by_region
         .iter()
         .map(|(_, points)| points.first().unwrap().1)
         .sum();

@@ -10,8 +10,8 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 use telecast::{DelayModelChoice, TenantFleet};
 use telecast_bench::{
-    autoscale_policy_for, run_churn, run_spike, run_tenant_mix, tenant_config, tenant_quota,
-    zipf_split, ChurnScenario, SpikeScenario, TenantMixScenario,
+    autoscale_policy_for, run_churn, run_tenant_mix, tenant_config, tenant_quota, zipf_split,
+    ChurnPreset, ChurnScenario, TenantMixScenario,
 };
 use telecast_cdn::{CapacityBroker, CdnConfig, CdnLease, PoolScope, TenantId, TenantQuota};
 use telecast_media::{ChurnSpec, SiteId, StreamId};
@@ -114,7 +114,6 @@ fn mix_scenario() -> TenantMixScenario {
         zipf: 1.0,
         minutes: 10,
         churn_per_minute: 0.3,
-        day_minutes: 10,
         amplitude: 0.5,
         spike_multiplier: 6.0,
         backend: DelayModelChoice::Dense,
@@ -173,8 +172,15 @@ fn run_solo(scenario: &TenantMixScenario, index: usize, audience: usize) -> (f64
 fn quota_floors_bound_the_noisy_neighbour_and_sharing_beats_static_split() {
     let scenario = mix_scenario();
     let mix = run_tenant_mix(&scenario);
+    let per_tenant = |label| &mix.figure.find(label).expect(label).points;
     let audiences = zipf_split(scenario.viewers, scenario.tenants as usize, scenario.zipf);
-    assert_eq!(mix.audiences, audiences);
+    let exported: Vec<usize> = per_tenant("audience_by_tenant")
+        .iter()
+        .map(|&(_, a)| a as usize)
+        .collect();
+    assert_eq!(exported, audiences);
+    let mix_bad_join = per_tenant("bad_join_rate_by_tenant");
+    let mix_served = per_tenant("served_mbps_hours_by_tenant");
 
     // Tenant 0 bursts 6×/9× mid-run; tenants 1.. ride the plain wave.
     // Isolation: each quiet tenant's bad-join rate inside the mix stays
@@ -190,13 +196,13 @@ fn quota_floors_bound_the_noisy_neighbour_and_sharing_beats_static_split() {
         solo_served_total += solo_served;
         eprintln!(
             "tenant {i}: solo bad-join {solo_bad:.4} / mix {:.4}, solo provisioned {solo_provisioned:.1} served {solo_served:.1} / mix served {:.1} Mbps-h",
-            mix.bad_join_rate_by_tenant[i],
-            mix.served_mbps_hours_by_tenant[i],
+            mix_bad_join[i].1,
+            mix_served[i].1,
         );
         if i == 0 {
             continue; // the burster is the perturbation, not the probe
         }
-        let mix_bad = mix.bad_join_rate_by_tenant[i];
+        let mix_bad = mix_bad_join[i].1;
         let bound = (3.0 * solo_bad).max(0.10);
         assert!(
             mix_bad <= bound,
@@ -210,17 +216,16 @@ fn quota_floors_bound_the_noisy_neighbour_and_sharing_beats_static_split() {
     // Mbps-hours than the M statically-split pools serving the same
     // workloads — consolidation absorbs the burst with capacity the
     // quiet tenants were not using.
+    let mix_provisioned = mix.figure.scalar("provisioned_mbps_hours").unwrap();
     assert!(
-        mix.provisioned_mbps_hours < solo_provisioned_total,
-        "shared pools provisioned {:.1} Mbps-h, statically-split pools {:.1} — \
-         consolidation bought nothing",
-        mix.provisioned_mbps_hours,
-        solo_provisioned_total
+        mix_provisioned < solo_provisioned_total,
+        "shared pools provisioned {mix_provisioned:.1} Mbps-h, statically-split pools \
+         {solo_provisioned_total:.1} — consolidation bought nothing"
     );
     // …and not by serving less: the consolidated pools deliver at least
     // the split arms' total served volume (the burster can grow into
     // idle neighbour capacity, so typically more).
-    let mix_served_total: f64 = mix.served_mbps_hours_by_tenant.iter().sum();
+    let mix_served_total: f64 = mix_served.iter().map(|&(_, served)| served).sum();
     assert!(
         mix_served_total >= 0.99 * solo_served_total,
         "shared pools served {mix_served_total:.1} Mbps-h vs the split arms' \
@@ -239,10 +244,10 @@ fn tenant_mix_is_seed_deterministic_and_fair_under_even_quotas() {
     assert_eq!(a.figure.to_json(), b.figure.to_json());
     // With a barely-bursting headline tenant, acceptance across tenants
     // should be close — the spread is a fairness figure, not noise.
+    let spread = a.figure.scalar("acceptance_spread").unwrap();
     assert!(
-        a.acceptance_spread < 0.25,
-        "acceptance spread {:.3} across equal-quota tenants",
-        a.acceptance_spread
+        spread < 0.25,
+        "acceptance spread {spread:.3} across equal-quota tenants"
     );
     // Quotas for any M never oversubscribe the pool.
     for m in 1..=32 {
@@ -266,27 +271,18 @@ fn replay_churn_scenario() -> ChurnScenario {
         viewers: 600,
         minutes: 3,
         churn_per_minute: 0.02,
-        backend: DelayModelChoice::Coordinate,
-        seed: 0xC4_0211,
-        pool_mbps: None,
         autoscale: true,
+        ..ChurnScenario::preset(ChurnPreset::ChurnStorm)
     }
 }
 
-fn replay_spike_scenario() -> SpikeScenario {
-    SpikeScenario {
+fn replay_spike_scenario() -> ChurnScenario {
+    ChurnScenario {
         viewers: 500,
         minutes: 10,
-        churn_per_minute: 0.30,
-        day_minutes: 10,
-        amplitude: 0.5,
-        spike_multiplier: 6.0,
-        backend: DelayModelChoice::Coordinate,
-        seed: 0x51_1735,
-        pool_mbps: None,
         autoscale: true,
         predictive: true,
-        per_region: true,
+        ..ChurnScenario::preset(ChurnPreset::SpikeStorm)
     }
 }
 
@@ -300,7 +296,7 @@ fn single_tenant_broker_replays_the_committed_small_references_byte_identically(
         "churn replay diverged from the committed reference bytes"
     );
 
-    let spike = run_spike(&replay_spike_scenario());
+    let spike = run_churn(&replay_spike_scenario());
     let committed = fs::read_to_string(results_dir().join("tenancy_replay_spike.json"))
         .expect("missing results/tenancy_replay_spike.json — run the ignored regenerate test");
     assert_eq!(
@@ -332,9 +328,14 @@ fn tenant_mix_replays_its_committed_reference_and_forecast_figures() {
         committed,
         "tenant-mix replay diverged from the committed reference bytes"
     );
+    let scalar = |label| mix.figure.scalar(label).unwrap();
     assert_eq!(
-        (mix.autoscale_ups, mix.autoscale_downs, mix.forecasts_scored),
-        (18, 15, 185)
+        (
+            scalar("autoscale_ups"),
+            scalar("autoscale_downs"),
+            mix.forecasts_scored
+        ),
+        (18.0, 15.0, 185)
     );
     assert_eq!(
         mix.mean_abs_forecast_error_mbps.map(f64::to_bits),
@@ -355,19 +356,19 @@ fn single_tenant_broker_replays_the_committed_ci_artifacts_byte_identically() {
     let churn = run_churn(&ChurnScenario {
         viewers: 20_000,
         minutes: 5,
-        ..ChurnScenario::default()
+        ..ChurnScenario::preset(ChurnPreset::ChurnStorm)
     })
     .figure
     .to_json();
     let committed = fs::read_to_string(results_dir().join("churn_storm.json")).unwrap();
     assert_eq!(churn, committed, "results/churn_storm.json diverged");
 
-    let defaults = SpikeScenario::default();
-    let spike = run_spike(&SpikeScenario {
+    let spike = run_churn(&ChurnScenario {
         viewers: 10_000,
         minutes: 15,
-        day_minutes: 15,
-        ..defaults
+        autoscale: true,
+        predictive: true,
+        ..ChurnScenario::preset(ChurnPreset::SpikeStorm)
     })
     .figure
     .to_json();
@@ -389,7 +390,7 @@ fn regenerate_small_replay_references() {
     .unwrap();
     fs::write(
         dir.join("tenancy_replay_spike.json"),
-        run_spike(&replay_spike_scenario()).figure.to_json(),
+        run_churn(&replay_spike_scenario()).figure.to_json(),
     )
     .unwrap();
     fs::write(

@@ -24,10 +24,10 @@ fn small_scenario(seed: u64) -> ViewStormScenario {
 /// same seed must export byte-identical JSON.
 #[test]
 fn view_storm_json_is_byte_identical_across_runs() {
-    let a = run_view_storm(&small_scenario(3)).figure.to_json();
-    let b = run_view_storm(&small_scenario(3)).figure.to_json();
+    let a = run_view_storm(&small_scenario(3)).to_json();
+    let b = run_view_storm(&small_scenario(3)).to_json();
     assert_eq!(a, b, "same-seed view storms exported diverging JSON");
-    let c = run_view_storm(&small_scenario(4)).figure.to_json();
+    let c = run_view_storm(&small_scenario(4)).to_json();
     assert_ne!(a, c, "different seeds produced identical exports");
 }
 
@@ -37,10 +37,8 @@ fn view_storm_json_is_byte_identical_across_runs() {
 #[test]
 fn view_storm_outcomes_are_thread_count_independent() {
     let scenarios: Vec<ViewStormScenario> = (0..4).map(|i| small_scenario(30 + i)).collect();
-    let serial = parallel_map_with(scenarios.clone(), 1, |s| {
-        run_view_storm(&s).figure.to_json()
-    });
-    let threaded = parallel_map_with(scenarios, 4, |s| run_view_storm(&s).figure.to_json());
+    let serial = parallel_map_with(scenarios.clone(), 1, |s| run_view_storm(&s).to_json());
+    let threaded = parallel_map_with(scenarios, 4, |s| run_view_storm(&s).to_json());
     assert_eq!(serial, threaded);
 }
 
