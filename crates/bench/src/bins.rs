@@ -14,7 +14,7 @@ use std::time::Instant;
 use telecast::{DelayModelChoice, SessionConfig, TelecastSession};
 use telecast_cdn::PoolScope;
 use telecast_media::{ArrivalModel, ViewChoice, ViewerWorkload};
-use telecast_net::Bandwidth;
+use telecast_net::{Bandwidth, Region};
 use telecast_sim::SimRng;
 
 use crate::cli::ScenarioArgs;
@@ -130,11 +130,11 @@ fn run(driver: Driver, args: &ScenarioArgs) -> (FigureData, String) {
                     "# shard  region         viewers   events     xshard  busy_s  barrier_s   util\n",
                 );
             }
-            for (i, s) in outcome.shard_stats.iter().enumerate() {
+            for (i, (s, region)) in outcome.shard_stats.iter().zip(Region::ALL).enumerate() {
                 let _ = writeln!(
                     extras,
                     "# {i:>5}  {:<13} {:>8}  {:>9}  {:>7}  {:>6.2}  {:>9.2}  {:>4.0}%",
-                    format!("{:?}", s.region),
+                    format!("{region:?}"),
                     s.viewers,
                     s.events_processed,
                     s.cross_shard_messages,

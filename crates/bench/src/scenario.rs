@@ -18,7 +18,7 @@
 //! label→value lookup that builds every scalar series.
 
 use telecast::TelecastSession;
-use telecast::{DelayModelChoice, SessionConfig, SessionMetrics, ShardStats, ShardedSession};
+use telecast::{DelayModelChoice, MemberStats, SessionConfig, SessionMetrics, ShardedSession};
 use telecast_cdn::{AutoscalePolicy, CdnConfig, PoolScope, PredictivePolicy};
 use telecast_media::{ChurnSpec, RateProfile, SpikeWindow};
 use telecast_net::{Bandwidth, BandwidthProfile};
@@ -497,7 +497,7 @@ pub struct ChurnOutcome {
     /// Per-shard observability in region order (sharded runtime only).
     /// `busy_ns` and `barrier_wait_ns` are wall clock: print them, never
     /// export them.
-    pub shard_stats: Vec<ShardStats>,
+    pub shard_stats: Vec<MemberStats>,
 }
 
 /// Runs the scenario and collapses it into its preset's figure. Pure in
@@ -547,7 +547,8 @@ pub fn run_churn(scenario: &ChurnScenario) -> ChurnOutcome {
         }
     };
     let merged;
-    let (m, connected, stats): (&SessionMetrics, usize, &[ShardStats]) = match (&single, &sharded) {
+    let (m, connected, stats): (&SessionMetrics, usize, &[MemberStats]) = match (&single, &sharded)
+    {
         (Some(session), _) => (session.metrics(), session.connected_viewers(), &[]),
         (_, Some(session)) => {
             merged = session.merged_metrics();
@@ -556,7 +557,7 @@ pub fn run_churn(scenario: &ChurnScenario) -> ChurnOutcome {
         (None, None) => unreachable!("one runtime ran"),
     };
     let per_stream = |total: u64| total as f64 / m.accepted_streams.value().max(1) as f64;
-    let by_shard = |f: fn(&ShardStats) -> u64| -> Vec<(f64, f64)> {
+    let by_shard = |f: fn(&MemberStats) -> u64| -> Vec<(f64, f64)> {
         stats
             .iter()
             .enumerate()

@@ -249,11 +249,6 @@ impl CapacityBroker {
         self.tenants.len()
     }
 
-    /// Whether `tenant` is still registered.
-    pub fn is_active(&self, tenant: TenantId) -> bool {
-        self.tenants[tenant.index()].active
-    }
-
     /// The quota `tenant` registered with.
     pub fn quota(&self, tenant: TenantId) -> TenantQuota {
         self.tenants[tenant.index()].quota

@@ -343,12 +343,6 @@ impl Cdn {
         agg
     }
 
-    /// Whether a stream of rate `bw` could currently be admitted in
-    /// *some* region (the single pool under [`PoolScope::Global`]).
-    pub fn can_serve(&self, bw: Bandwidth) -> bool {
-        self.pools.iter().any(|p| p.can_reserve(bw))
-    }
-
     /// Whether a stream of rate `bw` could currently be admitted for a
     /// viewer in `region` — the region-scoped admission check.
     pub fn can_serve_in(&self, bw: Bandwidth, region: Region) -> bool {

@@ -52,6 +52,7 @@ mod layers;
 mod metrics;
 mod monitor;
 mod protocol;
+mod runtime;
 mod session;
 mod shard;
 mod tenancy;
@@ -65,7 +66,8 @@ pub use layers::LayerScheme;
 pub use metrics::SessionMetrics;
 pub use monitor::{GscMonitor, StreamMeta};
 pub use protocol::{ControlMessage, ProtocolLog, ProtocolPhase};
+pub use runtime::{EpochRuntime, MemberStats};
 pub use session::{SessionBuilder, TelecastSession};
-pub use shard::{ShardStats, ShardedSession};
-pub use tenancy::TenantFleet;
+pub use shard::{ShardedSession, Shards};
+pub use tenancy::{TenantFleet, Tenants};
 pub use viewer::{StreamSub, VecMap, ViewerState, ViewerStatus};

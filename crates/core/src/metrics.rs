@@ -1,6 +1,6 @@
 //! Session-wide measurements — the quantities the paper's figures plot.
 
-use telecast_sim::{Cdf, Counter, Histogram, SimTime, TimeSeries};
+use telecast_sim::{merge_step_sum, Cdf, Counter, Histogram, SimTime, TimeSeries};
 
 /// Accumulated counters and samples of one session run.
 #[derive(Debug, Clone)]
@@ -245,14 +245,70 @@ impl SessionMetrics {
         self.join_delays_ms.cdf()
     }
 
-    /// CDF of view-change delays (milliseconds).
-    pub fn view_change_delay_cdf(&self) -> Cdf {
-        self.view_change_delays_ms.cdf()
-    }
-
-    /// CDF of switch latencies (milliseconds).
-    pub fn switch_latency_cdf(&self) -> Cdf {
-        self.switch_latency_ms.cdf()
+    /// Folds `other` into `self` as one more member of a merged view:
+    /// counters sum, peaks take the maximum, histograms append `other`'s
+    /// samples in ascending order, and the population, CDN-usage and
+    /// provisioned step series sum point-wise ([`merge_step_sum`]). The
+    /// merged view's pool slots are its members' pools, member after
+    /// member: `provisioned_by_slot` gains `other`'s aggregate series and
+    /// `forecast_error_by_slot` all of `other`'s slots. `cdn_utilisation`
+    /// stays as it is: a merged used/provisioned ratio is not recoverable
+    /// from members sampled at different instants.
+    pub fn merge(&mut self, other: &SessionMetrics) {
+        let this = std::mem::take(self);
+        let o = other;
+        let sum = |mut into: Counter, from: &Counter| {
+            into.add(from.value());
+            into
+        };
+        let cat = |mut into: Histogram, from: &Histogram| {
+            into.extend(from.sorted_samples().iter().copied());
+            into
+        };
+        let step = |into: TimeSeries, from: &TimeSeries| merge_step_sum(&[&into, from]);
+        let mut provisioned_by_slot = this.provisioned_by_slot;
+        provisioned_by_slot.push(o.provisioned_cdn_mbps.clone());
+        let mut forecast_error_by_slot = this.forecast_error_by_slot;
+        forecast_error_by_slot.extend(o.forecast_error_by_slot.iter().cloned());
+        // A struct literal without `..`: a new field fails to compile
+        // until it is merged here.
+        *self = SessionMetrics {
+            requested_streams: sum(this.requested_streams, &o.requested_streams),
+            accepted_streams: sum(this.accepted_streams, &o.accepted_streams),
+            admitted_viewers: sum(this.admitted_viewers, &o.admitted_viewers),
+            rejected_viewers: sum(this.rejected_viewers, &o.rejected_viewers),
+            join_delays_ms: cat(this.join_delays_ms, &o.join_delays_ms),
+            view_change_delays_ms: cat(this.view_change_delays_ms, &o.view_change_delays_ms),
+            switch_latency_ms: cat(this.switch_latency_ms, &o.switch_latency_ms),
+            switch_starved: sum(this.switch_starved, &o.switch_starved),
+            wasted_subtree_kbps_ms: sum(this.wasted_subtree_kbps_ms, &o.wasted_subtree_kbps_ms),
+            fragments_merged: sum(this.fragments_merged, &o.fragments_merged),
+            groups_retired: sum(this.groups_retired, &o.groups_retired),
+            prune_reclaimed_kbps: sum(this.prune_reclaimed_kbps, &o.prune_reclaimed_kbps),
+            subscription_messages: sum(this.subscription_messages, &o.subscription_messages),
+            displacements: sum(this.displacements, &o.displacements),
+            layer_drops: sum(this.layer_drops, &o.layer_drops),
+            victims: sum(this.victims, &o.victims),
+            victims_repositioned: sum(this.victims_repositioned, &o.victims_repositioned),
+            cdn_usage_mbps: step(this.cdn_usage_mbps, &o.cdn_usage_mbps),
+            provisioned_cdn_mbps: step(this.provisioned_cdn_mbps, &o.provisioned_cdn_mbps),
+            provisioned_by_slot,
+            cdn_utilisation: this.cdn_utilisation,
+            population: step(this.population, &o.population),
+            resync_cap_hits: sum(this.resync_cap_hits, &o.resync_cap_hits),
+            churn_arrivals: sum(this.churn_arrivals, &o.churn_arrivals),
+            churn_departures: sum(this.churn_departures, &o.churn_departures),
+            churn_failures: sum(this.churn_failures, &o.churn_failures),
+            autoscale_ups: sum(this.autoscale_ups, &o.autoscale_ups),
+            autoscale_downs: sum(this.autoscale_downs, &o.autoscale_downs),
+            join_retries: sum(this.join_retries, &o.join_retries),
+            spill_requests: sum(this.spill_requests, &o.spill_requests),
+            spill_admits: sum(this.spill_admits, &o.spill_admits),
+            spill_releases: sum(this.spill_releases, &o.spill_releases),
+            forecast_error_by_slot,
+            peak_event_queue: this.peak_event_queue.max(o.peak_event_queue),
+            peak_retry_queue: this.peak_retry_queue.max(o.peak_retry_queue),
+        };
     }
 
     /// Wasted subtree bandwidth in Mbps·hours — the figure-friendly
@@ -291,6 +347,32 @@ mod tests {
         // 2000 kbps wasted for 1.8e6 ms = 2 Mbps for half an hour.
         m.wasted_subtree_kbps_ms.add(2_000 * 1_800_000);
         assert!((m.wasted_mbps_hours() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn merge_folds_every_field() {
+        let mut part = SessionMetrics::new();
+        part.fragments_merged.add(3);
+        part.switch_starved.add(2);
+        part.switch_latency_ms.record(40.0);
+        part.join_delays_ms.record(250.0);
+        part.sample_population(SimTime::from_secs(1), 10.0);
+        part.sample_provisioned(SimTime::from_secs(0), 100.0);
+        part.sample_forecast_error(0, SimTime::from_secs(5), -2.0);
+        part.peak_event_queue = 7;
+        let mut merged = SessionMetrics::new();
+        merged.merge(&part);
+        merged.merge(&part);
+        assert_eq!(merged.fragments_merged.value(), 6);
+        assert_eq!(merged.switch_starved.value(), 4);
+        assert_eq!(merged.switch_latency_ms.len(), 2);
+        assert_eq!(merged.join_delays_ms.len(), 2);
+        assert_eq!(merged.population.points(), &[(SimTime::from_secs(1), 20.0)]);
+        assert_eq!(merged.provisioned_by_slot.len(), 2);
+        assert_eq!(merged.forecast_error_by_slot.len(), 2);
+        assert_eq!(merged.mean_abs_forecast_error_mbps(), Some(2.0));
+        assert_eq!(merged.peak_event_queue, 7);
+        assert!(merged.cdn_utilisation.is_empty());
     }
 
     #[test]

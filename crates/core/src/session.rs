@@ -572,11 +572,6 @@ impl TelecastSession {
         &self.cdn
     }
 
-    /// The GSC monitoring component (producer metadata, LSC directory).
-    pub fn gsc_monitor(&self) -> &GscMonitor {
-        &self.monitor
-    }
-
     /// A viewer's state.
     ///
     /// # Errors
@@ -1080,11 +1075,6 @@ impl TelecastSession {
             }
         }
         self.arm_adaptation();
-    }
-
-    /// Whether a churn runtime is installed.
-    pub fn churn_active(&self) -> bool {
-        self.churn.is_some()
     }
 
     /// The viewers currently available to the churn runtime for
@@ -3279,11 +3269,14 @@ impl TelecastSession {
 }
 
 // ----------------------------------------------------------------------
-// Sharded-runtime hooks (see crate::shard): the owner/donor halves of the
-// cross-shard spill protocol, plus the outbox plumbing the coordinator
-// drains at each epoch barrier. All of these run either inside this
-// shard's own event loop or sequentially in the coordinator's merge
-// phase — never concurrently.
+// Epoch-runtime hooks (see crate::runtime). The shard hooks are the
+// owner/donor halves of the cross-shard spill protocol plus the outbox
+// plumbing the barrier drains. The fleet hooks serve a fleet-managed
+// session, which keeps no autoscalers of its own: the barrier sums
+// demand across tenants, scales the shared pools and hands each tenant
+// its arbitrated retry budget. All of these run either inside this
+// member's own event loop or sequentially in the barrier — never
+// concurrently.
 // ----------------------------------------------------------------------
 impl TelecastSession {
     /// Marks this session as shard `id` owning `region`'s viewers.
@@ -3436,23 +3429,14 @@ impl TelecastSession {
             self.cdn.release(lease);
         }
     }
-}
 
-// ----------------------------------------------------------------------
-// Fleet hooks — the narrow interface a multi-tenant coordinator
-// (`TenantFleet`) drives at its epoch barriers. A fleet-managed session
-// keeps no autoscalers of its own: the fleet aggregates demand across
-// every tenant, scales the shared broker pools, and hands each tenant
-// its arbitrated retry budget. All of these run sequentially in the
-// coordinator's barrier phase.
-// ----------------------------------------------------------------------
-impl TelecastSession {
-    /// Takes (and zeroes) the fresh arrival demand accumulated per pool
-    /// slot since the last barrier, in Kbps — the fleet sums these
-    /// across tenants as the predictive controller's inflow signal.
-    pub(crate) fn fleet_take_arrival_demand(&mut self) -> Vec<u64> {
-        let slots = self.arrival_demand_kbps.len();
-        std::mem::replace(&mut self.arrival_demand_kbps, vec![0; slots])
+    /// Takes (and zeroes) the fresh arrival demand accumulated on pool
+    /// `slot` since the last barrier, in Kbps — the fleet sums these
+    /// across tenants as the shared controller's inflow signal.
+    pub(crate) fn fleet_take_arrival_demand(&mut self, slot: usize) -> u64 {
+        self.arrival_demand_kbps
+            .get_mut(slot)
+            .map_or(0, std::mem::take)
     }
 
     /// Worst-case CDN demand parked on each slot's retry queue, in Kbps

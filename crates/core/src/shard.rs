@@ -1,35 +1,13 @@
-//! The sharded session runtime: per-region parallel event loops with a
-//! deterministic cross-shard merge.
+//! The sharded side of the [`EpochRuntime`]: one broadcast split into
+//! one [`TelecastSession`] per [`Region`] (the split the per-region CDN
+//! pools use), each owning its region's slot of the shared broker.
 //!
-//! A [`ShardedSession`] splits the global viewer population into one
-//! [`TelecastSession`] per [`Region`] (the same five-way split the
-//! per-region CDN pools use), runs the shards on a persistent
-//! [`WorkerPool`] (threads spawned once for the session's lifetime,
-//! epochs dispatched longest-predicted-first from an EWMA cost model),
-//! and synchronises them at a **time-epoch barrier**: every shard advances
-//! its own event loop to the epoch boundary, cross-shard effects are
-//! collected into per-shard outboxes, and the coordinator merges the
-//! outboxes in the canonical `(time, shard_id, seq)` order before
-//! applying them one by one. Because the shard count is fixed (five —
-//! one per region), intra-epoch execution is single-threaded per shard,
-//! and the merge order never mentions a thread id, the run is
-//! **byte-identical for a given seed regardless of the worker count**:
-//! `--threads` only maps shards onto OS threads.
-//!
-//! Two cross-shard effects exist today:
-//!
-//! * **CDN spill** — a foreground join the local regional pool rejected
-//!   for capacity is offered to the foreign pool with the most headroom
-//!   at the next barrier ([`ShardMessage::SpillRequest`]). The donor
-//!   serves the view's streams from its own pool and the owner marks the
-//!   viewer connected on those foreign leases.
-//! * **Foreign release** — when a spill-served viewer departs, its
-//!   foreign leases travel back to the donor shard for release
-//!   ([`ShardMessage::ReleaseForeign`]).
-//!
-//! Wall-clock figures (`busy_ns`, `barrier_wait_ns` in [`ShardStats`])
-//! are observability only — they never feed back into simulation state,
-//! so they do not perturb determinism.
+//! Two cross-shard effects travel through the shards' outboxes to the
+//! runtime's barrier: **CDN spill** ([`ShardMessage::SpillRequest`]), a
+//! foreground join the local pool rejected for capacity, served from the
+//! foreign pool with the most headroom; and **foreign release**
+//! ([`ShardMessage::ReleaseForeign`]), a departed spill-served viewer's
+//! leases handed back to the donor shard.
 
 use std::collections::BTreeMap;
 
@@ -40,13 +18,10 @@ use telecast_cdn::{
 };
 use telecast_media::ViewId;
 use telecast_net::{NodeId, Region};
-use telecast_sim::{
-    merge_outboxes_into, EpochSchedule, FxHashSet, Outbox, OutboxEntry, SimDuration, SimTime,
-    TimeSeries, WorkerPool,
-};
+use telecast_sim::{FxHashSet, Outbox, SimDuration, SimTime};
 
 use crate::config::SessionConfig;
-use crate::metrics::SessionMetrics;
+use crate::runtime::EpochRuntime;
 use crate::session::TelecastSession;
 
 /// Salt mixed into each shard's seed so the five shards draw independent
@@ -55,7 +30,7 @@ use crate::session::TelecastSession;
 const SHARD_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A cross-shard effect, stamped into the emitting shard's outbox during
-/// an epoch and applied by the coordinator at the barrier.
+/// an epoch and applied by the runtime at the barrier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum ShardMessage {
     /// A foreground join the owning shard's regional pool rejected for
@@ -115,45 +90,8 @@ impl ShardState {
     }
 }
 
-/// Per-shard observability exported next to the merged metrics.
-///
-/// `events_processed`, `cross_shard_messages`, `viewers`, and
-/// `peak_event_queue` are deterministic per seed; `busy_ns` and
-/// `barrier_wait_ns` are wall-clock and vary run to run — keep them out
-/// of any byte-compared artifact.
-#[derive(Debug, Clone)]
-pub struct ShardStats {
-    /// The region this shard owns.
-    pub region: Region,
-    /// Viewers provisioned on this shard.
-    pub viewers: usize,
-    /// Events this shard's engine has fired.
-    pub events_processed: u64,
-    /// Cross-shard messages this shard emitted.
-    pub cross_shard_messages: u64,
-    /// Wall-clock nanoseconds this shard spent executing epochs.
-    pub busy_ns: u64,
-    /// Wall-clock nanoseconds this shard idled at barriers waiting for
-    /// the slowest shard of each epoch.
-    pub barrier_wait_ns: u64,
-    /// Deepest this shard's event heap has ever been.
-    pub peak_event_queue: u64,
-}
-
-impl ShardStats {
-    /// Fraction of the runtime's epoch wall-clock this shard spent
-    /// executing rather than idling at barriers:
-    /// `busy / (busy + barrier wait)`. Wall-clock observability only —
-    /// varies run to run. `0.0` before the first epoch.
-    pub fn utilization(&self) -> f64 {
-        let wall = self.busy_ns + self.barrier_wait_ns;
-        if wall == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / wall as f64
-        }
-    }
-}
+/// Marker for the sharded side of the [`EpochRuntime`].
+pub enum Shards {}
 
 /// The sharded session runtime: five per-region [`TelecastSession`]
 /// event loops advancing in lock-step time epochs on a worker pool, with
@@ -173,28 +111,9 @@ impl ShardStats {
 /// session.run_until(SimTime::from_secs(60));
 /// assert!(session.merged_metrics().churn_arrivals.value() > 0);
 /// ```
-pub struct ShardedSession {
-    shards: Vec<TelecastSession>,
-    /// Persistent worker pool: threads are spawned once here and reused
-    /// by every epoch. Jobs are dispatched longest-predicted-first (an
-    /// EWMA of each shard's measured busy time), which shortens the
-    /// barrier without touching the output — results land by shard
-    /// index, never by worker identity.
-    pool: WorkerPool<TelecastSession, SimTime>,
-    epoch: SimDuration,
-    threads: usize,
-    now: SimTime,
-    stats: Vec<ShardStats>,
-    spill_denied: u64,
-    /// Reused per-shard outbox drain buffers ([`Outbox::take_into`]
-    /// swaps allocations, so steady-state epochs drain without
-    /// allocating).
-    drain_bufs: Vec<Vec<OutboxEntry<ShardMessage>>>,
-    /// Reused k-way merge output buffer.
-    merge_buf: Vec<OutboxEntry<ShardMessage>>,
-}
+pub type ShardedSession = EpochRuntime<Shards>;
 
-impl ShardedSession {
+impl EpochRuntime<Shards> {
     /// Builds one shard per region from `config`: the global viewer
     /// population and the CDN pool are split by the region weights
     /// (remainders land on the first region, mirroring
@@ -212,8 +131,6 @@ impl ShardedSession {
     /// zero, or `epoch` is zero.
     pub fn new(config: SessionConfig, viewers: usize, threads: usize, epoch: SimDuration) -> Self {
         assert!(viewers > 0, "sharded session needs viewers");
-        assert!(threads > 0, "sharded session needs at least one thread");
-        assert!(!epoch.is_zero(), "epoch must be positive");
 
         // Integer split by weight percent, remainder to the first region
         // — the same arithmetic `split_capacity` uses, so a shard's
@@ -242,52 +159,27 @@ impl ShardedSession {
             .expect("fresh broker lock")
             .register(TenantQuota::FULL);
 
-        let mut shards = Vec::with_capacity(Region::ALL.len());
-        let mut stats = Vec::with_capacity(Region::ALL.len());
-        for (id, &region) in Region::ALL.iter().enumerate() {
-            let mut cfg = config.clone();
-            cfg.cdn = cfg
-                .cdn
-                .with_outbound(pool_split[id])
-                .with_pool_scope(PoolScope::Global);
-            cfg.autoscale = policy_split.as_ref().map(|p| p[id]);
-            cfg.seed = config.seed ^ SHARD_SEED_SALT.wrapping_mul(id as u64 + 1);
-            let handle = TenantHandle::window(Arc::clone(&broker), tenant, id);
-            let mut shard = TelecastSession::builder(cfg)
-                .viewers_in(counts[id], region)
-                .with_cdn_handle(handle)
-                .build();
-            shard.enable_sharding(id, region);
-            shards.push(shard);
-            stats.push(ShardStats {
-                region,
-                viewers: counts[id],
-                events_processed: 0,
-                cross_shard_messages: 0,
-                busy_ns: 0,
-                barrier_wait_ns: 0,
-                peak_event_queue: 0,
-            });
-        }
-        let shard_count = shards.len();
-        let pool = WorkerPool::new(
-            shard_count,
-            threads,
-            |_, shard: &mut TelecastSession, end| {
-                shard.run_until(*end);
-            },
-        );
-        ShardedSession {
-            shards,
-            pool,
-            epoch,
-            threads,
-            now: SimTime::ZERO,
-            stats,
-            spill_denied: 0,
-            drain_bufs: (0..shard_count).map(|_| Vec::new()).collect(),
-            merge_buf: Vec::new(),
-        }
+        let shards = Region::ALL
+            .iter()
+            .enumerate()
+            .map(|(id, &region)| {
+                let mut cfg = config.clone();
+                cfg.cdn = cfg
+                    .cdn
+                    .with_outbound(pool_split[id])
+                    .with_pool_scope(PoolScope::Global);
+                cfg.autoscale = policy_split.as_ref().map(|p| p[id]);
+                cfg.seed = config.seed ^ SHARD_SEED_SALT.wrapping_mul(id as u64 + 1);
+                let handle = TenantHandle::window(Arc::clone(&broker), tenant, id);
+                let mut shard = TelecastSession::builder(cfg)
+                    .viewers_in(counts[id], region)
+                    .with_cdn_handle(handle)
+                    .build();
+                shard.enable_sharding(id, region);
+                shard
+            })
+            .collect();
+        EpochRuntime::assemble(shards, broker, Vec::new(), threads, epoch)
     }
 
     /// Starts a steady-state churn runtime on every shard: each shard
@@ -300,8 +192,8 @@ impl ShardedSession {
     /// Panics if `churn_per_minute` is outside `(0, 1]` or a churn
     /// runtime is already installed on a shard.
     pub fn start_churn(&mut self, churn_per_minute: f64, horizon: SimTime) {
-        for (id, shard) in self.shards.iter_mut().enumerate() {
-            let population = self.stats[id].viewers;
+        for (shard, stats) in self.members.iter_mut().zip(&self.stats) {
+            let population = stats.viewers;
             if population == 0 {
                 continue;
             }
@@ -310,191 +202,24 @@ impl ShardedSession {
         }
     }
 
-    /// Runs every shard to `deadline` in bounded time epochs: each epoch
-    /// advances all shards to the boundary in parallel, then drains and
-    /// merges their outboxes in `(time, shard_id, seq)` order and
-    /// applies the cross-shard effects sequentially.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        let boundaries: Vec<SimTime> = EpochSchedule::new(self.now, deadline, self.epoch).collect();
-        for epoch_end in boundaries {
-            self.run_epoch(epoch_end);
-        }
-        if deadline > self.now {
-            self.now = deadline;
-        }
-    }
-
-    fn run_epoch(&mut self, epoch_end: SimTime) {
-        self.pool.run_epoch(&mut self.shards, epoch_end);
-        let busy = self.pool.last_busy_ns();
-        let slowest = busy.iter().copied().max().unwrap_or(0);
-        for (id, &busy_ns) in busy.iter().enumerate() {
-            self.stats[id].busy_ns += busy_ns;
-            self.stats[id].barrier_wait_ns += slowest - busy_ns;
-        }
-        self.now = epoch_end;
-
-        for (shard, buf) in self.shards.iter_mut().zip(self.drain_bufs.iter_mut()) {
-            shard.shard_take_outbox_into(buf);
-        }
-        let mut merged = std::mem::take(&mut self.merge_buf);
-        merge_outboxes_into(&mut self.drain_bufs, &mut merged);
-        for entry in merged.drain(..) {
-            self.stats[entry.from].cross_shard_messages += 1;
-            self.apply(entry);
-        }
-        self.merge_buf = merged;
-        for (id, shard) in self.shards.iter().enumerate() {
-            self.stats[id].events_processed = shard.events_processed();
-            self.stats[id].peak_event_queue = shard.metrics().peak_event_queue;
-        }
-    }
-
-    /// Applies one merged cross-shard effect.
-    fn apply(&mut self, entry: OutboxEntry<ShardMessage>) {
-        match entry.msg {
-            ShardMessage::SpillRequest {
-                viewer,
-                view,
-                demand_kbps,
-            } => {
-                let from = entry.from;
-                // Donor: the foreign pool with the most headroom that
-                // can take the whole view; ties break on the lower
-                // shard index to stay deterministic.
-                let donor = (0..self.shards.len())
-                    .filter(|&j| j != from)
-                    .map(|j| (self.shards[j].shard_headroom_kbps(), j))
-                    .filter(|&(headroom, _)| headroom >= demand_kbps)
-                    .max_by_key(|&(headroom, j)| (headroom, std::cmp::Reverse(j)))
-                    .map(|(_, j)| j);
-                let Some(donor) = donor else {
-                    self.spill_denied += 1;
-                    self.shards[from].shard_spill_denied(viewer);
-                    return;
-                };
-                let Some(leases) = self.shards[donor].shard_grant_view(view) else {
-                    // Headroom was there but the grant still failed
-                    // (e.g. per-stream packing); treat as denied.
-                    self.spill_denied += 1;
-                    self.shards[from].shard_spill_denied(viewer);
-                    return;
-                };
-                if let Err(leases) =
-                    self.shards[from].shard_apply_spill_grant(viewer, view, donor, leases)
-                {
-                    // The viewer moved on since the request (dwell
-                    // expiry, re-join); hand the leases straight back.
-                    self.shards[donor].shard_release_leases(leases);
-                }
-            }
-            ShardMessage::ReleaseForeign { donor, leases } => {
-                self.shards[donor].shard_release_leases(leases);
-            }
-        }
-    }
-
-    /// Merges the per-shard metrics into one global [`SessionMetrics`]:
-    /// counters and histograms sum/concatenate in shard order, and the
-    /// population / CDN-usage / provisioned step series are summed
-    /// point-wise ([`telecast_sim::merge_step_sum`]).
-    /// `provisioned_by_slot` carries one series per shard (its aggregate
-    /// pool), and the utilisation series is left empty — a global
-    /// used/provisioned ratio is not recoverable from per-shard samples
-    /// taken at different instants.
-    pub fn merged_metrics(&self) -> SessionMetrics {
-        let mut merged = SessionMetrics::new();
-        for shard in &self.shards {
-            let m = shard.metrics();
-            merged.requested_streams.add(m.requested_streams.value());
-            merged.accepted_streams.add(m.accepted_streams.value());
-            merged.admitted_viewers.add(m.admitted_viewers.value());
-            merged.rejected_viewers.add(m.rejected_viewers.value());
-            merged
-                .subscription_messages
-                .add(m.subscription_messages.value());
-            merged.displacements.add(m.displacements.value());
-            merged.layer_drops.add(m.layer_drops.value());
-            merged.victims.add(m.victims.value());
-            merged
-                .victims_repositioned
-                .add(m.victims_repositioned.value());
-            merged.resync_cap_hits.add(m.resync_cap_hits.value());
-            merged.churn_arrivals.add(m.churn_arrivals.value());
-            merged.churn_departures.add(m.churn_departures.value());
-            merged.churn_failures.add(m.churn_failures.value());
-            merged.autoscale_ups.add(m.autoscale_ups.value());
-            merged.autoscale_downs.add(m.autoscale_downs.value());
-            merged.join_retries.add(m.join_retries.value());
-            merged.spill_requests.add(m.spill_requests.value());
-            merged.spill_admits.add(m.spill_admits.value());
-            merged.spill_releases.add(m.spill_releases.value());
-            for &v in m.join_delays_ms.sorted_samples() {
-                merged.join_delays_ms.record(v);
-            }
-            for &v in m.view_change_delays_ms.sorted_samples() {
-                merged.view_change_delays_ms.record(v);
-            }
-            merged.peak_event_queue = merged.peak_event_queue.max(m.peak_event_queue);
-            merged.peak_retry_queue = merged.peak_retry_queue.max(m.peak_retry_queue);
-        }
-        let series = |f: fn(&SessionMetrics) -> &TimeSeries| -> TimeSeries {
-            let parts: Vec<&TimeSeries> = self.shards.iter().map(|s| f(s.metrics())).collect();
-            telecast_sim::merge_step_sum(&parts)
-        };
-        merged.population = series(|m| &m.population);
-        merged.cdn_usage_mbps = series(|m| &m.cdn_usage_mbps);
-        merged.provisioned_cdn_mbps = series(|m| &m.provisioned_cdn_mbps);
-        merged.provisioned_by_slot = self
-            .shards
-            .iter()
-            .map(|s| s.metrics().provisioned_cdn_mbps.clone())
-            .collect();
-        merged
-    }
-
-    /// Current virtual time (every shard's clock equals this at a
-    /// barrier).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The barrier period.
-    pub fn epoch(&self) -> SimDuration {
-        self.epoch
-    }
-
-    /// Worker threads the shards are mapped onto.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// The per-region shard sessions, in [`Region::ALL`] order.
     pub fn shards(&self) -> &[TelecastSession] {
-        &self.shards
-    }
-
-    /// Per-shard observability, in [`Region::ALL`] order.
-    pub fn stats(&self) -> &[ShardStats] {
-        &self.stats
+        &self.members
     }
 
     /// Spill requests no foreign pool could take.
     pub fn spill_denied(&self) -> u64 {
         self.spill_denied
     }
-
-    /// Connected viewers across every shard.
-    pub fn connected_viewers(&self) -> usize {
-        self.shards.iter().map(|s| s.connected_viewers()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SessionConfig;
-    use telecast_cdn::CdnConfig;
+    use crate::metrics::SessionMetrics;
+    use crate::runtime::MemberStats;
+    use telecast_cdn::{AutoscalePolicy, CdnConfig, PredictivePolicy};
+    use telecast_net::Bandwidth;
 
     fn small_config(seed: u64) -> SessionConfig {
         SessionConfig {
@@ -505,7 +230,7 @@ mod tests {
         }
     }
 
-    fn run_small(seed: u64, threads: usize) -> (SessionMetrics, Vec<ShardStats>) {
+    fn run_small(seed: u64, threads: usize) -> (SessionMetrics, Vec<MemberStats>) {
         let mut s =
             ShardedSession::new(small_config(seed), 400, threads, SimDuration::from_secs(10));
         let horizon = SimTime::from_secs(120);
@@ -554,9 +279,9 @@ mod tests {
     fn shards_make_progress_and_report_events() {
         let (metrics, stats) = run_small(7, 2);
         assert!(metrics.churn_arrivals.value() > 0);
-        for st in &stats {
+        for (st, region) in stats.iter().zip(Region::ALL) {
             if st.viewers > 0 {
-                assert!(st.events_processed > 0, "{:?} shard idle", st.region);
+                assert!(st.events_processed > 0, "{region:?} shard idle");
             }
         }
     }
@@ -603,5 +328,50 @@ mod tests {
             .max()
             .unwrap_or(0);
         assert_eq!(merged.peak_event_queue, peak);
+    }
+
+    #[test]
+    fn merged_metrics_keep_every_shards_forecasts_and_prune_folds() {
+        // Predictive shard controllers and an armed prune pass: the
+        // merged view must carry what the shards scored and folded.
+        let pool = Bandwidth::from_mbps(400);
+        let config = small_config(5)
+            .with_cdn(CdnConfig::default().with_outbound(pool))
+            .with_autoscale(AutoscalePolicy::for_pool(pool, Bandwidth::from_mbps(4_000)))
+            .with_predictive(PredictivePolicy {
+                horizon: SimDuration::from_secs(45),
+                alpha: 0.5,
+                target_utilisation: 0.95,
+            })
+            .with_prune_floor(2);
+        let mut s = ShardedSession::new(config, 500, 1, SimDuration::from_secs(10));
+        let horizon = SimTime::from_secs(300);
+        s.start_churn(0.2, horizon);
+        s.run_until(horizon);
+        let merged = s.merged_metrics();
+        let sum = |f: fn(&SessionMetrics) -> u64| -> u64 {
+            s.shards().iter().map(|sh| f(sh.metrics())).sum()
+        };
+        let forecasts = |m: &SessionMetrics| -> u64 {
+            m.forecast_error_by_slot
+                .iter()
+                .map(|series| series.len() as u64)
+                .sum()
+        };
+        assert!(sum(forecasts) > 0, "no shard scored a forecast");
+        assert!(
+            sum(|m| m.fragments_merged.value()) > 0,
+            "no shard folded a fragment"
+        );
+        assert_eq!(forecasts(&merged), sum(forecasts));
+        assert!(merged.mean_abs_forecast_error_mbps().is_some());
+        assert_eq!(
+            merged.fragments_merged.value(),
+            sum(|m| m.fragments_merged.value())
+        );
+        assert_eq!(
+            merged.prune_reclaimed_kbps.value(),
+            sum(|m| m.prune_reclaimed_kbps.value())
+        );
     }
 }

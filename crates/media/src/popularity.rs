@@ -93,11 +93,6 @@ impl ViewPopularity {
         self
     }
 
-    /// The Zipf exponent.
-    pub fn zipf_exponent(&self) -> f64 {
-        self.zipf_s
-    }
-
     /// The per-viewer choice model this popularity induces.
     pub fn choice(&self) -> ViewChoice {
         ViewChoice::Zipf { s: self.zipf_s }

@@ -91,11 +91,6 @@ impl Orientation {
         }
     }
 
-    /// Creates an orientation from an angle in radians.
-    pub fn from_radians(radians: f64) -> Self {
-        Orientation { radians }
-    }
-
     /// The angle in degrees, normalised to `[0, 360)`.
     pub fn degrees(self) -> f64 {
         let d = self.radians.to_degrees() % 360.0;

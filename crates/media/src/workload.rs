@@ -413,12 +413,6 @@ impl ChurnSpec {
         self
     }
 
-    /// Sets the view-choice model.
-    pub fn with_view_choice(mut self, choice: ViewChoice) -> Self {
-        self.view_choice = choice;
-        self
-    }
-
     /// Sets the time-varying arrival-rate profile.
     pub fn with_rate_profile(mut self, profile: crate::RateProfile) -> Self {
         self.rate_profile = profile;
@@ -461,14 +455,6 @@ impl ChurnSpec {
         }
         self.rate_profile.validate()?;
         Ok(())
-    }
-
-    /// Draws the gap to the next arrival *of the base (constant-rate)
-    /// process*. Time-varying specs must use
-    /// [`ChurnSpec::sample_next_arrival`] instead, which thins against
-    /// the rate profile.
-    pub fn sample_gap(&self, rng: &mut SimRng) -> SimDuration {
-        SimDuration::from_secs_f64(rng.exponential(self.mean_arrival_gap.as_secs_f64()))
     }
 
     /// Draws the next arrival instant after `from` under the spec's rate

@@ -18,7 +18,10 @@
 //! measured busy time and sorts the dispatch order by that prediction,
 //! so the heaviest shard starts first and light shards pack around it
 //! (the classic LPT heuristic). Ties, and the first epoch (no history),
-//! fall back to ascending slot order.
+//! fall back to ascending slot order. On one thread no order can
+//! shorten the epoch, so the inline path (`threads <= 1`) always runs
+//! the slots in ascending order: a caller whose jobs share state can
+//! rely on that order.
 //!
 //! # Determinism
 //!
@@ -93,16 +96,12 @@ pub struct WorkerPool<T, C> {
 impl<T: Send + 'static, C: Clone + Send + Sync + 'static> WorkerPool<T, C> {
     /// Creates a pool for `slots` jobs on up to `threads` OS threads
     /// (capped at `slots`; `threads <= 1` spawns none and runs epochs
-    /// inline on the caller's thread).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` is zero.
+    /// inline on the caller's thread, in ascending slot order). A pool
+    /// of zero slots spawns nothing and runs nothing.
     pub fn new<F>(slots: usize, threads: usize, run: F) -> Self
     where
         F: Fn(usize, &mut T, &C) + Send + Sync + 'static,
     {
-        assert!(slots > 0, "worker pool needs at least one slot");
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 jobs: (0..slots).map(|_| None).collect(),
@@ -136,10 +135,10 @@ impl<T: Send + 'static, C: Clone + Send + Sync + 'static> WorkerPool<T, C> {
 
     /// Runs one epoch: every item of `items` (which must have exactly
     /// the pool's slot count) is executed once with `ctx`, in place.
-    /// Items are dispatched longest-predicted-first but always land
-    /// back at their own index, so `items` comes back in the order it
-    /// went in — the vector round-trips through the pool without
-    /// reallocating.
+    /// Worker threads take items longest-predicted-first, the inline
+    /// path in ascending slot order; either way they land back at their
+    /// own index, so `items` comes back in the order it went in — the
+    /// vector round-trips through the pool without reallocating.
     ///
     /// # Panics
     ///
@@ -148,14 +147,12 @@ impl<T: Send + 'static, C: Clone + Send + Sync + 'static> WorkerPool<T, C> {
     /// slot count.
     pub fn run_epoch(&mut self, items: &mut Vec<T>, ctx: C) {
         assert_eq!(items.len(), self.slots, "item count must match slots");
-        let order = lpt_order(&self.ewma_ns);
         if self.workers.is_empty() {
             // Inline path: no worker threads — run the jobs on the
-            // caller's thread in the same LPT order (order is
-            // irrelevant to output either way).
-            for &slot in &order {
+            // caller's thread in slot order.
+            for (slot, item) in items.iter_mut().enumerate() {
                 let started = Instant::now();
-                (self.shared.run)(slot, &mut items[slot], &ctx);
+                (self.shared.run)(slot, item, &ctx);
                 self.record_busy(slot, started.elapsed().as_nanos() as u64);
             }
             return;
@@ -167,7 +164,7 @@ impl<T: Send + 'static, C: Clone + Send + Sync + 'static> WorkerPool<T, C> {
             for (slot, item) in items.drain(..).enumerate() {
                 state.jobs[slot] = Some(item);
             }
-            state.order = order;
+            state.order = lpt_order(&self.ewma_ns);
             state.cursor = 0;
             state.outstanding = self.slots;
             self.shared.work_ready.notify_all();
@@ -190,7 +187,7 @@ impl<T: Send + 'static, C: Clone + Send + Sync + 'static> WorkerPool<T, C> {
             }
         }
         for slot in 0..self.slots {
-            self.record_busy_cell(slot, self.last_busy_ns[slot]);
+            self.record_busy(slot, self.last_busy_ns[slot]);
         }
         *lock_ignore_poison(&self.shared.ctx) = None;
     }
@@ -206,10 +203,6 @@ impl<T: Send + 'static, C: Clone + Send + Sync + 'static> WorkerPool<T, C> {
     }
 
     fn record_busy(&mut self, slot: usize, busy_ns: u64) {
-        self.record_busy_cell(slot, busy_ns);
-    }
-
-    fn record_busy_cell(&mut self, slot: usize, busy_ns: u64) {
         self.last_busy_ns[slot] = busy_ns;
         let prev = self.ewma_ns[slot];
         self.ewma_ns[slot] = if prev == 0.0 {
@@ -383,6 +376,35 @@ mod tests {
             "slower slot must predict slower"
         );
         assert_eq!(lpt_order(&pool.ewma_ns)[0], 1, "LPT starts the slow slot");
+    }
+
+    #[test]
+    fn inline_path_runs_slots_in_ascending_order() {
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&ran);
+        // Slot 2 is by far the costliest, so an LPT order would start it.
+        let mut pool: WorkerPool<u64, ()> = WorkerPool::new(4, 1, move |slot, _, ()| {
+            if slot == 2 {
+                std::thread::sleep(std::time::Duration::from_millis(3));
+            }
+            log.lock().unwrap().push(slot);
+        });
+        let mut items = vec![0u64; 4];
+        for _ in 0..4 {
+            pool.run_epoch(&mut items, ());
+        }
+        assert_eq!(lpt_order(&pool.ewma_ns)[0], 2, "costs must be unequal");
+        let expected: Vec<usize> = (0..4).flat_map(|_| 0..4).collect();
+        assert_eq!(*ran.lock().unwrap(), expected);
+    }
+
+    #[test]
+    fn zero_slot_pool_runs_nothing() {
+        let mut pool: WorkerPool<u64, ()> = WorkerPool::new(0, 4, |_, _, ()| unreachable!());
+        let mut items = Vec::new();
+        pool.run_epoch(&mut items, ());
+        assert_eq!(pool.worker_count(), 0);
+        assert!(pool.last_busy_ns().is_empty());
     }
 
     #[test]
