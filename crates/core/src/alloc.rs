@@ -22,8 +22,10 @@ use telecast_net::Bandwidth;
 
 use crate::config::OutboundPolicy;
 
-/// Result of the inbound allocation step.
-#[derive(Debug, Clone, PartialEq)]
+/// Result of the inbound allocation step. A plan is a reusable buffer:
+/// [`InboundPlan::allocate`] overwrites it, so a caller that keeps one
+/// allocates nothing once it has grown to the longest view.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InboundPlan {
     /// Accepted streams, still in global priority order.
     pub accepted: Vec<PrioritizedStream>,
@@ -31,29 +33,30 @@ pub struct InboundPlan {
     pub inbound_used: Bandwidth,
 }
 
-/// Allocates the viewer's inbound capacity over `streams` (which must be
-/// in global priority order, most important first).
-///
-/// `supply_available` reports whether the P2P layer or the CDN currently
-/// has outbound headroom for a stream — condition (2) of the paper.
-pub fn allocate_inbound(
-    streams: &[PrioritizedStream],
-    inbound: Bandwidth,
-    mut supply_available: impl FnMut(StreamId, Bandwidth) -> bool,
-) -> InboundPlan {
-    let mut accepted = Vec::new();
-    let mut used = Bandwidth::ZERO;
-    for s in streams {
-        let bw = Bandwidth::from_kbps(s.bitrate_kbps);
-        if used + bw > inbound || !supply_available(s.stream, bw) {
-            break; // first violation truncates the request
+impl InboundPlan {
+    /// Allocates the viewer's `inbound` capacity over `streams` (which
+    /// must be in global priority order, most important first),
+    /// replacing this plan's contents.
+    ///
+    /// `supply_available` reports whether the P2P layer or the CDN
+    /// currently has outbound headroom for a stream — condition (2) of
+    /// the paper.
+    pub fn allocate(
+        &mut self,
+        streams: &[PrioritizedStream],
+        inbound: Bandwidth,
+        mut supply_available: impl FnMut(StreamId, Bandwidth) -> bool,
+    ) {
+        self.accepted.clear();
+        self.inbound_used = Bandwidth::ZERO;
+        for s in streams {
+            let bw = Bandwidth::from_kbps(s.bitrate_kbps);
+            if self.inbound_used + bw > inbound || !supply_available(s.stream, bw) {
+                break; // first violation truncates the request
+            }
+            self.inbound_used += bw;
+            self.accepted.push(*s);
         }
-        used += bw;
-        accepted.push(*s);
-    }
-    InboundPlan {
-        accepted,
-        inbound_used: used,
     }
 }
 
@@ -61,19 +64,13 @@ pub fn allocate_inbound(
 /// — the admission constraint `N_accepted ≥ n` ("at least the highest
 /// priority stream of each local view").
 pub fn covers_all_sites(accepted: &[PrioritizedStream], site_count: usize) -> bool {
-    let mut seen = vec![false; site_count];
-    for s in accepted {
-        let idx = s.stream.site().index();
-        if idx < site_count {
-            seen[idx] = true;
-        }
-    }
-    seen.iter().all(|&b| b)
+    (0..site_count).all(|site| accepted.iter().any(|s| s.stream.site().index() == site))
 }
 
 /// Result of the outbound allocation step: out-link slots per accepted
 /// stream (same order as the accepted list) and the capacity consumed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Reusable like [`InboundPlan`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OutboundPlan {
     /// `(stream, granted slots)` in priority order.
     pub slots: Vec<(StreamId, u32)>,
@@ -90,61 +87,61 @@ impl OutboundPlan {
             .map(|&(_, d)| d)
             .unwrap_or(0)
     }
-}
 
-/// Allocates the viewer's outbound capacity across the accepted streams
-/// under the chosen policy.
-pub fn allocate_outbound(
-    accepted: &[PrioritizedStream],
-    outbound: Bandwidth,
-    policy: OutboundPolicy,
-) -> OutboundPlan {
-    let mut slots: Vec<(StreamId, u32)> = accepted.iter().map(|s| (s.stream, 0)).collect();
-    let mut remaining = outbound;
-    match policy {
-        OutboundPolicy::RoundRobin => loop {
-            let mut granted_this_pass = false;
-            for (i, s) in accepted.iter().enumerate() {
-                let bw = Bandwidth::from_kbps(s.bitrate_kbps);
-                if bw <= remaining && !bw.is_zero() {
-                    slots[i].1 += 1;
-                    remaining -= bw;
-                    granted_this_pass = true;
+    /// Allocates the viewer's `outbound` capacity across the `accepted`
+    /// streams under `policy`, replacing this plan's contents.
+    pub fn allocate(
+        &mut self,
+        accepted: &[PrioritizedStream],
+        outbound: Bandwidth,
+        policy: OutboundPolicy,
+    ) {
+        let slots = &mut self.slots;
+        slots.clear();
+        slots.extend(accepted.iter().map(|s| (s.stream, 0)));
+        let mut remaining = outbound;
+        match policy {
+            OutboundPolicy::RoundRobin => loop {
+                let mut granted_this_pass = false;
+                for (i, s) in accepted.iter().enumerate() {
+                    let bw = Bandwidth::from_kbps(s.bitrate_kbps);
+                    if bw <= remaining && !bw.is_zero() {
+                        slots[i].1 += 1;
+                        remaining -= bw;
+                        granted_this_pass = true;
+                    }
                 }
-            }
-            if !granted_this_pass {
-                break;
-            }
-        },
-        OutboundPolicy::PriorityFirst => {
-            for (i, s) in accepted.iter().enumerate() {
-                let bw = Bandwidth::from_kbps(s.bitrate_kbps);
-                if bw.is_zero() {
-                    continue;
+                if !granted_this_pass {
+                    break;
                 }
-                let n = remaining / bw;
-                slots[i].1 = u32::try_from(n).unwrap_or(u32::MAX);
-                remaining -= bw * n;
-            }
-        }
-        OutboundPolicy::EqualSplit => {
-            if !accepted.is_empty() {
-                let share = Bandwidth::from_kbps(outbound.as_kbps() / accepted.len() as u64);
+            },
+            OutboundPolicy::PriorityFirst => {
                 for (i, s) in accepted.iter().enumerate() {
                     let bw = Bandwidth::from_kbps(s.bitrate_kbps);
                     if bw.is_zero() {
                         continue;
                     }
-                    let n = share / bw;
+                    let n = remaining / bw;
                     slots[i].1 = u32::try_from(n).unwrap_or(u32::MAX);
                     remaining -= bw * n;
                 }
             }
+            OutboundPolicy::EqualSplit => {
+                if !accepted.is_empty() {
+                    let share = Bandwidth::from_kbps(outbound.as_kbps() / accepted.len() as u64);
+                    for (i, s) in accepted.iter().enumerate() {
+                        let bw = Bandwidth::from_kbps(s.bitrate_kbps);
+                        if bw.is_zero() {
+                            continue;
+                        }
+                        let n = share / bw;
+                        slots[i].1 = u32::try_from(n).unwrap_or(u32::MAX);
+                        remaining -= bw * n;
+                    }
+                }
+            }
         }
-    }
-    OutboundPlan {
-        slots,
-        outbound_used: outbound - remaining,
+        self.outbound_used = outbound - remaining;
     }
 }
 
@@ -162,6 +159,26 @@ mod tests {
         }
     }
 
+    fn inbound(
+        streams: &[PrioritizedStream],
+        capacity: Bandwidth,
+        supply: impl FnMut(StreamId, Bandwidth) -> bool,
+    ) -> InboundPlan {
+        let mut plan = InboundPlan::default();
+        plan.allocate(streams, capacity, supply);
+        plan
+    }
+
+    fn outbound(
+        streams: &[PrioritizedStream],
+        capacity: Bandwidth,
+        policy: OutboundPolicy,
+    ) -> OutboundPlan {
+        let mut plan = OutboundPlan::default();
+        plan.allocate(streams, capacity, policy);
+        plan
+    }
+
     /// The paper's 6-stream view: interleaved priorities across 2 sites.
     fn six_streams() -> Vec<PrioritizedStream> {
         vec![
@@ -177,14 +194,14 @@ mod tests {
     #[test]
     fn inbound_accepts_exact_fit() {
         // 12 Mbps fits exactly six 2 Mbps streams.
-        let plan = allocate_inbound(&six_streams(), Bandwidth::from_mbps(12), |_, _| true);
+        let plan = inbound(&six_streams(), Bandwidth::from_mbps(12), |_, _| true);
         assert_eq!(plan.accepted.len(), 6);
         assert_eq!(plan.inbound_used, Bandwidth::from_mbps(12));
     }
 
     #[test]
     fn inbound_truncates_at_capacity() {
-        let plan = allocate_inbound(&six_streams(), Bandwidth::from_mbps(7), |_, _| true);
+        let plan = inbound(&six_streams(), Bandwidth::from_mbps(7), |_, _| true);
         assert_eq!(plan.accepted.len(), 3);
         assert_eq!(plan.inbound_used, Bandwidth::from_mbps(6));
         // Kept the three highest priorities.
@@ -196,7 +213,7 @@ mod tests {
     fn inbound_stops_at_first_supply_gap() {
         // Third stream has no supply: everything after it is dropped too.
         let blocked = StreamId::new(SiteId::new(0), 1);
-        let plan = allocate_inbound(&six_streams(), Bandwidth::from_mbps(12), |s, _| {
+        let plan = inbound(&six_streams(), Bandwidth::from_mbps(12), |s, _| {
             s != blocked
         });
         assert_eq!(plan.accepted.len(), 2);
@@ -204,7 +221,7 @@ mod tests {
 
     #[test]
     fn inbound_zero_capacity_accepts_nothing() {
-        let plan = allocate_inbound(&six_streams(), Bandwidth::ZERO, |_, _| true);
+        let plan = inbound(&six_streams(), Bandwidth::ZERO, |_, _| true);
         assert!(plan.accepted.is_empty());
         assert_eq!(plan.inbound_used, Bandwidth::ZERO);
     }
@@ -222,7 +239,7 @@ mod tests {
     fn round_robin_matches_fig9() {
         // Fig. 9: 10 Mbps over three 2 Mbps streams → oDeg 2, 2, 1.
         let streams = &six_streams()[..3];
-        let plan = allocate_outbound(
+        let plan = outbound(
             streams,
             Bandwidth::from_mbps(10),
             OutboundPolicy::RoundRobin,
@@ -235,7 +252,7 @@ mod tests {
     #[test]
     fn round_robin_is_priority_monotone() {
         for mbps in 0..=14 {
-            let plan = allocate_outbound(
+            let plan = outbound(
                 &six_streams(),
                 Bandwidth::from_mbps(mbps),
                 OutboundPolicy::RoundRobin,
@@ -253,7 +270,7 @@ mod tests {
 
     #[test]
     fn priority_first_starves_the_tail() {
-        let plan = allocate_outbound(
+        let plan = outbound(
             &six_streams(),
             Bandwidth::from_mbps(6),
             OutboundPolicy::PriorityFirst,
@@ -264,7 +281,7 @@ mod tests {
 
     #[test]
     fn equal_split_divides_capacity() {
-        let plan = allocate_outbound(
+        let plan = outbound(
             &six_streams()[..3],
             Bandwidth::from_mbps(12),
             OutboundPolicy::EqualSplit,
@@ -276,7 +293,7 @@ mod tests {
     #[test]
     fn equal_split_wastes_fragmented_capacity() {
         // 10 Mbps over 3 streams → 3.33 Mbps shares → 1 slot each; 4 Mbps idle.
-        let plan = allocate_outbound(
+        let plan = outbound(
             &six_streams()[..3],
             Bandwidth::from_mbps(10),
             OutboundPolicy::EqualSplit,
@@ -293,7 +310,7 @@ mod tests {
             OutboundPolicy::PriorityFirst,
             OutboundPolicy::EqualSplit,
         ] {
-            let plan = allocate_outbound(&six_streams(), Bandwidth::ZERO, policy);
+            let plan = outbound(&six_streams(), Bandwidth::ZERO, policy);
             assert!(plan.slots.iter().all(|&(_, d)| d == 0));
             assert_eq!(plan.outbound_used, Bandwidth::ZERO);
         }
@@ -301,14 +318,14 @@ mod tests {
 
     #[test]
     fn outbound_empty_streams() {
-        let plan = allocate_outbound(&[], Bandwidth::from_mbps(10), OutboundPolicy::RoundRobin);
+        let plan = outbound(&[], Bandwidth::from_mbps(10), OutboundPolicy::RoundRobin);
         assert!(plan.slots.is_empty());
         assert_eq!(plan.outbound_used, Bandwidth::ZERO);
     }
 
     #[test]
     fn out_degree_lookup() {
-        let plan = allocate_outbound(
+        let plan = outbound(
             &six_streams()[..3],
             Bandwidth::from_mbps(10),
             OutboundPolicy::RoundRobin,
@@ -320,7 +337,7 @@ mod tests {
     #[test]
     fn allocated_outbound_respects_priority_invariant() {
         // abw(S_hi) ≥ abw(S_lo): in allocated bandwidth, not just slots.
-        let plan = allocate_outbound(
+        let plan = outbound(
             &six_streams(),
             Bandwidth::from_mbps(9),
             OutboundPolicy::RoundRobin,

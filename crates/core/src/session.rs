@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use telecast_sim::{FxHashMap, FxHashSet};
 
-use telecast_cdn::{Autoscaler, CapacityBroker, ScaleDirection, TenantHandle};
+use telecast_cdn::{Autoscaler, CapacityBroker, CdnLease, ScaleDirection, TenantHandle};
 use telecast_media::{PrioritizedStream, StreamId, ViewCatalog, ViewId};
 use telecast_net::{
     Bandwidth, CoordinateDelayModel, DelayBackend, DelayModel, NodeId, NodeKind, NodePorts,
@@ -29,7 +29,7 @@ use telecast_net::{
 use telecast_overlay::{GroupTable, StreamTree, SubscriptionPoint, TreeParent};
 use telecast_sim::{Engine, SimDuration, SimRng, SimTime};
 
-use crate::alloc::{allocate_inbound, allocate_outbound, covers_all_sites};
+use crate::alloc::{covers_all_sites, InboundPlan, OutboundPlan};
 use crate::config::{DelayModelChoice, GroupScope, PlacementStrategy, SessionConfig};
 use crate::error::TelecastError;
 use crate::layers::LayerScheme;
@@ -94,6 +94,9 @@ struct ResyncVisits {
     calls: u64,
     /// Calls in progress.
     depth: u32,
+    /// The most calls ever in progress at once: how deep drops have
+    /// nested the chain (see ARCHITECTURE.md, "The event loop").
+    max_depth: u32,
 }
 
 impl ResyncVisits {
@@ -105,6 +108,7 @@ impl ResyncVisits {
         }
         self.calls += 1;
         self.depth += 1;
+        self.max_depth = self.max_depth.max(self.depth);
         (self.calls, self.saved.len())
     }
 
@@ -134,6 +138,8 @@ impl ResyncVisits {
 }
 
 /// The reusable buffers of one [`TelecastSession::propagate_resync`] call.
+/// [`TelecastSession::after_reposition`] borrows a spare frame for its
+/// `displaced` and `leases` lists.
 #[derive(Default)]
 struct ResyncFrame {
     /// Viewers still to resync, in visit order.
@@ -150,6 +156,63 @@ struct ResyncFrame {
     /// The children of `changed` in the group's trees, in order: the
     /// viewers the chain enqueues next.
     walked: Vec<NodeId>,
+    /// Streams the last resync's pass 2 moves to the CDN (§VI reroute).
+    reroutes: Vec<StreamId>,
+    /// Streams the last resync gives up.
+    drops: Vec<StreamId>,
+    /// CDN leases a resync or a reposition no longer needs.
+    leases: Vec<CdnLease>,
+    /// The repositioned viewer's children in
+    /// [`TelecastSession::after_reposition`].
+    displaced: Vec<NodeId>,
+}
+
+/// The reusable buffers of one [`TelecastSession::process_join`] call,
+/// which [`TelecastSession::teardown_subscriptions`] borrows for the
+/// subscriptions it releases. Taken from the session, handed through and
+/// returned cleared, like a [`ResyncFrame`]; a nested call would take a
+/// fresh one.
+#[derive(Default)]
+struct JoinScratch {
+    /// §IV-B1 inbound plan: the accepted streams, in priority order.
+    inbound: InboundPlan,
+    /// §IV-B1 outbound plan: the out-degree of each accepted stream.
+    outbound: OutboundPlan,
+    /// The streams §IV-B2 placed, in priority order, with their parents
+    /// in `parents` at the same index.
+    placed: Vec<PrioritizedStream>,
+    parents: Vec<TreeParent>,
+    /// Members the joiner displaced: the subscription chain's seeds.
+    displaced: Vec<NodeId>,
+    /// CDN leases acquired mid-placement, moved into [`StreamSub::lease`]
+    /// at the commit or released on rollback.
+    pending: VecMap<StreamId, CdnLease>,
+    /// The subscriptions being layered (§V), in placement order.
+    subs: Vec<(StreamId, StreamSub)>,
+    /// Layer scratch for the push-down pass.
+    layers: Vec<u64>,
+    /// `placed` less the streams the layering gave up.
+    kept: Vec<PrioritizedStream>,
+    /// `(parent, stream, point)` forwards the commit installs.
+    parent_updates: Vec<(NodeId, StreamId, SubscriptionPoint)>,
+    /// The joiner's committed streams, in stream order.
+    streams: Vec<StreamId>,
+}
+
+impl JoinScratch {
+    fn clear(&mut self) {
+        self.inbound.accepted.clear();
+        self.outbound.slots.clear();
+        self.placed.clear();
+        self.parents.clear();
+        self.displaced.clear();
+        debug_assert!(self.pending.is_empty(), "a join left pending leases behind");
+        self.subs.clear();
+        self.layers.clear();
+        self.kept.clear();
+        self.parent_updates.clear();
+        self.streams.clear();
+    }
 }
 
 /// How many times one viewer's parked join may be retried before it is
@@ -372,6 +435,7 @@ impl SessionBuilder {
             connected_count: 0,
             resync_frames: Vec::new(),
             resync_visits: ResyncVisits::default(),
+            join_scratch: JoinScratch::default(),
             shard: None,
             config,
         }
@@ -468,6 +532,8 @@ pub struct TelecastSession {
     /// The subscription chain's visit records, shared by every nesting
     /// level.
     resync_visits: ResyncVisits,
+    /// The join pipeline's buffers, between joins.
+    join_scratch: JoinScratch,
     /// Sharded-mode context, installed when this session is one shard of
     /// a [`crate::ShardedSession`]. `None` on the legacy single-loop
     /// path, which stays behaviourally untouched.
@@ -1541,6 +1607,22 @@ impl TelecastSession {
         requested_at: SimTime,
         background: bool,
     ) {
+        let mut scratch = std::mem::take(&mut self.join_scratch);
+        self.join_on(&mut scratch, viewer, view, requested_at, background);
+        scratch.clear();
+        self.join_scratch = scratch;
+    }
+
+    /// The body of [`Self::process_join`], on buffers it owns for the
+    /// call.
+    fn join_on(
+        &mut self,
+        scratch: &mut JoinScratch,
+        viewer: NodeId,
+        view: ViewId,
+        requested_at: SimTime,
+        background: bool,
+    ) {
         {
             // A scripted departure may have raced this event.
             let v = &self.viewers[&viewer];
@@ -1562,45 +1644,45 @@ impl TelecastSession {
 
         let scope = self.scope_of(region);
         if !matches!(self.config.placement, PlacementStrategy::Random { .. }) {
-            let all: Vec<StreamId> = self.catalog.view(view).streams().collect();
-            self.scopes[scope].group_for(view, all);
+            self.scopes[scope].group_for(view, self.catalog.view(view).streams());
         }
 
         // Inbound allocation (§IV-B1) with the P2P/CDN supply condition.
-        let accepted = {
+        {
             let group = self.scopes[scope].group(view);
             let cdn = &self.cdn;
             let placement = self.config.placement;
-            let plan = allocate_inbound(&streams, inbound_total, |s, bw| match placement {
-                PlacementStrategy::Random { .. } => true,
-                _ => {
-                    let tree_has = group
-                        .and_then(|g| g.tree(s))
-                        .map(|t| t.has_free_slot())
-                        .unwrap_or(false);
-                    // Region-scoped supply: under per-region pools the
-                    // joiner can only draw from its own region's share.
-                    tree_has || cdn.can_serve_in(bw, region)
-                }
-            });
-            plan.accepted
-        };
+            scratch
+                .inbound
+                .allocate(streams, inbound_total, |s, bw| match placement {
+                    PlacementStrategy::Random { .. } => true,
+                    _ => {
+                        let tree_has = group
+                            .and_then(|g| g.tree(s))
+                            .map(|t| t.has_free_slot())
+                            .unwrap_or(false);
+                        // Region-scoped supply: under per-region pools the
+                        // joiner can only draw from its own region's share.
+                        tree_has || cdn.can_serve_in(bw, region)
+                    }
+                });
+        }
+        let accepted = &scratch.inbound.accepted;
 
-        if !covers_all_sites(&accepted, self.config.sites.len()) {
+        if !covers_all_sites(accepted, self.config.sites.len()) {
             self.finish_rejected(viewer, view, background);
             return;
         }
 
-        let out_plan = allocate_outbound(&accepted, outbound_total, self.config.outbound_policy);
+        let out_plan = &mut scratch.outbound;
+        out_plan.allocate(accepted, outbound_total, self.config.outbound_policy);
 
         // Place each accepted stream (§IV-B2). Failures drop the stream;
         // a coverage-breaking failure rolls the whole join back.
-        let mut placements: Vec<(PrioritizedStream, TreeParent)> = Vec::new();
-        let mut displaced: Vec<NodeId> = Vec::new();
-        for s in &accepted {
+        for s in accepted {
             let bw = self.stream_bw[&s.stream];
             let deg = out_plan.out_degree(s.stream);
-            if let Some((parent, disp)) = self.place_stream(
+            if let Some((parent, disp, lease)) = self.place_stream(
                 viewer,
                 view,
                 scope,
@@ -1610,6 +1692,9 @@ impl TelecastSession {
                 deg,
                 outbound_total,
             ) {
+                if let Some(lease) = lease {
+                    scratch.pending.insert(s.stream, lease);
+                }
                 if let Some(d) = disp {
                     self.metrics.displacements.incr();
                     // Displacing a direct CDN child takes over its
@@ -1631,31 +1716,30 @@ impl TelecastSession {
                             None => self.cdn.serve(s.stream, bw, region).ok(),
                         };
                         match lease {
-                            Some(lease) => self
-                                .viewers
-                                .get_mut(&viewer)
-                                .expect("viewer exists")
-                                .stash_cdn_lease(s.stream, lease),
+                            Some(lease) => {
+                                scratch.pending.insert(s.stream, lease);
+                            }
                             None => {
                                 // No lease available at all: undo this
                                 // placement; the stream is unserved.
-                                displaced.push(d);
-                                self.undo_placement(viewer, view, scope, s.stream, parent);
+                                scratch.displaced.push(d);
+                                self.undo_placement(viewer, view, scope, s.stream, None);
                                 continue;
                             }
                         }
                     }
-                    displaced.push(d);
+                    scratch.displaced.push(d);
                 }
-                placements.push((*s, parent));
+                scratch.placed.push(*s);
+                scratch.parents.push(parent);
             }
         }
 
-        let placed: Vec<PrioritizedStream> = placements.iter().map(|(s, _)| *s).collect();
-        if !covers_all_sites(&placed, self.config.sites.len()) {
+        if !covers_all_sites(&scratch.placed, self.config.sites.len()) {
             // Roll back: remove the fresh placements (no children yet).
-            for (s, parent) in &placements {
-                self.undo_placement(viewer, view, scope, s.stream, *parent);
+            for s in &scratch.placed {
+                let lease = scratch.pending.remove(&s.stream);
+                self.undo_placement(viewer, view, scope, s.stream, lease);
             }
             self.finish_rejected(viewer, view, background);
             return;
@@ -1664,7 +1748,8 @@ impl TelecastSession {
         // Port reservations: inbound for every placed stream, outbound for
         // the granted slots.
         {
-            let inbound_used: Bandwidth = placed
+            let inbound_used: Bandwidth = scratch
+                .placed
                 .iter()
                 .map(|s| Bandwidth::from_kbps(s.bitrate_kbps))
                 .sum();
@@ -1680,20 +1765,21 @@ impl TelecastSession {
                     .reserve(outbound_used)
                     .expect("outbound allocation fits by construction");
             }
-            for (s, deg) in &out_plan.slots {
-                v.out_degrees.insert(*s, *deg);
+            v.out_degrees.reserve_exact(out_plan.slots.len());
+            for &(s, deg) in &out_plan.slots {
+                v.out_degrees.insert(s, deg);
             }
         }
 
         // Delay layers (§V): Eq. 1 per stream, then layer push-down.
-        let mut subs: Vec<(StreamId, StreamSub)> = Vec::new();
-        for (s, parent) in &placements {
-            let base_e2e = self.path_delay(viewer, s.stream, *parent);
+        let subs = &mut scratch.subs;
+        for (s, &parent) in scratch.placed.iter().zip(&scratch.parents) {
+            let base_e2e = self.path_delay(viewer, s.stream, parent);
             let layer = self.scheme.layer_of_delay(base_e2e);
             subs.push((
                 s.stream,
                 StreamSub {
-                    parent: *parent,
+                    parent,
                     lease: None, // CDN leases were recorded in place_stream
                     base_e2e,
                     e2e: base_e2e,
@@ -1702,7 +1788,7 @@ impl TelecastSession {
                     bitrate_kbps: s.bitrate_kbps,
                     leg: None,
                     // Read at the commit.
-                    up: *parent,
+                    up: parent,
                     up_e2e: SimDuration::ZERO,
                 },
             ));
@@ -1713,6 +1799,7 @@ impl TelecastSession {
         // CDN") before giving a stream up. Each pass either stabilises or
         // removes/reroutes at least one stream, so it terminates.
         if self.config.layering_enabled {
+            let layers = &mut scratch.layers;
             loop {
                 // Recompute layers from the current bases.
                 for (_, sub) in subs.iter_mut() {
@@ -1720,8 +1807,9 @@ impl TelecastSession {
                     sub.e2e = sub.base_e2e;
                     sub.pushed_down = false;
                 }
-                let mut layers: Vec<u64> = subs.iter().map(|(_, s)| s.layer).collect();
-                let changed = self.scheme.push_down(&mut layers);
+                layers.clear();
+                layers.extend(subs.iter().map(|(_, s)| s.layer));
+                let changed = self.scheme.push_down(layers);
                 self.metrics.subscription_messages.add(changed as u64);
                 for ((_, sub), &layer) in subs.iter_mut().zip(layers.iter()) {
                     if layer != sub.layer {
@@ -1766,10 +1854,7 @@ impl TelecastSession {
                             let entry = &mut subs[offender].1;
                             entry.parent = TreeParent::Cdn;
                             entry.base_e2e = self.scheme.delta();
-                            self.viewers
-                                .get_mut(&viewer)
-                                .expect("viewer exists")
-                                .stash_cdn_lease(sid, lease);
+                            scratch.pending.insert(sid, lease);
                             true
                         }
                         Err(_) => false,
@@ -1778,22 +1863,25 @@ impl TelecastSession {
                 };
                 if !rerouted {
                     self.metrics.layer_drops.incr();
-                    self.undo_placement(viewer, view, scope, sid, sub.parent);
+                    let lease = scratch.pending.remove(&sid);
+                    self.undo_placement(viewer, view, scope, sid, lease);
                     let v = self.viewers.get_mut(&viewer).expect("viewer exists");
                     v.ports.inbound.release(bw);
                     subs.remove(offender);
                 }
             }
         }
-        let kept: Vec<(StreamId, StreamSub)> = subs;
-        let kept_streams: Vec<PrioritizedStream> = placed
-            .iter()
-            .filter(|p| kept.iter().any(|(sid, _)| *sid == p.stream))
-            .copied()
-            .collect();
-        if !covers_all_sites(&kept_streams, self.config.sites.len()) {
-            for (sid, sub) in &kept {
-                self.undo_placement(viewer, view, scope, *sid, sub.parent);
+        scratch.kept.extend(
+            scratch
+                .placed
+                .iter()
+                .filter(|p| subs.iter().any(|(sid, _)| *sid == p.stream))
+                .copied(),
+        );
+        if !covers_all_sites(&scratch.kept, self.config.sites.len()) {
+            for (sid, sub) in subs.iter() {
+                let lease = scratch.pending.remove(sid);
+                self.undo_placement(viewer, view, scope, *sid, lease);
                 let v = self.viewers.get_mut(&viewer).expect("viewer exists");
                 v.ports
                     .inbound
@@ -1813,14 +1901,13 @@ impl TelecastSession {
         }
 
         // Commit.
-        self.metrics.accepted_streams.add(kept.len() as u64);
+        self.metrics.accepted_streams.add(subs.len() as u64);
         self.metrics.admitted_viewers.incr();
         // Admitted: the retry budget resets and any parked entry becomes
         // stale (the queue drops it lazily once unparked).
         self.retry_counts.remove(&viewer);
         self.retry_parked.remove(&viewer);
-        self.metrics.subscription_messages.add(kept.len() as u64); // Subscription-Start to each parent
-        let mut parent_updates: Vec<(NodeId, StreamId, SubscriptionPoint)> = Vec::new();
+        self.metrics.subscription_messages.add(subs.len() as u64); // Subscription-Start to each parent
         {
             let v = self.viewers.get_mut(&viewer).expect("viewer exists");
             if v.status != ViewerStatus::Connected {
@@ -1830,11 +1917,11 @@ impl TelecastSession {
             v.view = Some(view);
             // A join commits all its subscriptions at once: size the map
             // for them rather than let it grow in doublings.
-            v.subs.reserve_exact(kept.len());
-            for (sid, mut sub) in kept {
+            v.subs.reserve_exact(subs.len());
+            for (sid, mut sub) in subs.drain(..) {
                 // Reattach the lease handle recorded during placement.
                 if sub.parent == TreeParent::Cdn {
-                    sub.lease = v.temp_cdn_lease_take(sid);
+                    sub.lease = scratch.pending.remove(&sid);
                 }
                 if let TreeParent::Viewer(p) = sub.parent {
                     let point = if sub.pushed_down {
@@ -1842,18 +1929,18 @@ impl TelecastSession {
                     } else {
                         SubscriptionPoint::Live
                     };
-                    parent_updates.push((p, sid, point));
+                    scratch.parent_updates.push((p, sid, point));
                 }
                 v.subs.insert(sid, sub);
             }
+            scratch.streams.extend(v.subs.keys().copied());
         }
         // The new subscriptions read their tree parents, and the members
         // the joiner displaced read its delays.
-        let streams: Vec<StreamId> = self.viewers[&viewer].subs.keys().copied().collect();
-        for &sid in &streams {
+        for &sid in &scratch.streams {
             self.reread_up(viewer, sid);
         }
-        self.push_up_e2e(viewer, streams, None);
+        self.push_up_e2e(viewer, scratch.streams.iter().copied(), None);
         // Register group membership (the group exists: created above for
         // every non-Random placement). The prune pass reads this to spot
         // abandoned views.
@@ -1862,7 +1949,7 @@ impl TelecastSession {
         }
         // Fill in Eq. 2 subscription points and update parent routing
         // tables (Fig. 6 protocol).
-        for (p, sid, point) in parent_updates {
+        for (p, sid, point) in scratch.parent_updates.drain(..) {
             let point = match point {
                 SubscriptionPoint::Live => SubscriptionPoint::Live,
                 SubscriptionPoint::Frame(_) => {
@@ -1874,21 +1961,19 @@ impl TelecastSession {
             pv.routing.add_forward(sid, grandparent, viewer, point);
         }
         if matches!(self.config.placement, PlacementStrategy::Random { .. }) {
-            let sub_streams: Vec<StreamId> = self.viewers[&viewer].subs.keys().copied().collect();
-            for sid in sub_streams {
+            for &sid in &scratch.streams {
                 self.random_receivers.entry(sid).or_default().push(viewer);
             }
         }
 
         // Background joins after a view change release the temporary CDN
-        // serves now that the overlay carries the view.
+        // serves now that the overlay carries the view. The map is freed,
+        // not drained in place: it stays empty until the viewer's next
+        // view change, and its capacity on every viewer that ever
+        // switched would raise the peak heap.
         if background {
-            let leases: Vec<_> = {
-                let v = self.viewers.get_mut(&viewer).expect("viewer exists");
-                let l: Vec<_> = v.temp_leases.drain_all();
-                l
-            };
-            for (_, lease) in leases {
+            let v = self.viewers.get_mut(&viewer).expect("viewer exists");
+            for (_, lease) in std::mem::take(&mut v.temp_leases) {
                 self.cdn.release(lease);
             }
         } else {
@@ -1896,16 +1981,15 @@ impl TelecastSession {
             // the slowest subscription round trip to a parent.
             let lsc = self.lsc_nodes[&region];
             let mut completion = self.leg(lsc, viewer);
-            let parents: Vec<NodeId> = self.viewers[&viewer]
+            let edge = self.edge_nodes[&region];
+            let mut slowest_rtt = self.leg(viewer, edge) + self.leg(edge, viewer);
+            let parents = self.viewers[&viewer]
                 .subs
                 .values()
                 .filter_map(|s| match s.parent {
                     TreeParent::Viewer(p) => Some(p),
                     TreeParent::Cdn => None,
-                })
-                .collect();
-            let edge = self.edge_nodes[&region];
-            let mut slowest_rtt = self.leg(viewer, edge) + self.leg(edge, viewer);
+                });
             for p in parents {
                 let rtt = self.leg(viewer, p) + self.leg(p, viewer);
                 if rtt > slowest_rtt {
@@ -1923,8 +2007,8 @@ impl TelecastSession {
         }
 
         // Subscription chains towards displaced subtrees.
-        if !displaced.is_empty() {
-            self.propagate_resync(view, scope, displaced);
+        if !scratch.displaced.is_empty() {
+            self.propagate_resync(view, scope, scratch.displaced.iter().copied());
         }
     }
 
@@ -1936,43 +2020,34 @@ impl TelecastSession {
             // scale-up.
             self.park_rejected(viewer, view);
         }
-        let leases: Vec<_> = {
+        {
             let v = self.viewers.get_mut(&viewer).expect("viewer exists");
             v.out_degrees.clear();
-            let mut stale = v.pending_leases.drain_all();
-            debug_assert!(stale.is_empty(), "undo left pending leases behind");
             if background {
                 // Keep watching via the temporary CDN serves: convert them
                 // into plain CDN subscriptions.
             } else {
                 v.status = ViewerStatus::Rejected;
                 v.view = None;
-                stale.extend(v.temp_leases.drain_all());
+                for (_, lease) in std::mem::take(&mut v.temp_leases) {
+                    self.cdn.release(lease);
+                }
             }
-            stale
-        };
-        for (_, lease) in leases {
-            self.cdn.release(lease);
         }
         if !background {
             self.shard_maybe_spill(viewer, view);
         }
         if background {
             let delta = self.scheme.delta();
-            let temp: Vec<(StreamId, telecast_cdn::CdnLease)> = {
-                let v = self.viewers.get_mut(&viewer).expect("viewer exists");
-                v.temp_leases.drain_all()
-            };
             let mut accepted = 0u64;
-            let mut overflow: Vec<telecast_cdn::CdnLease> = Vec::new();
             {
                 let v = self.viewers.get_mut(&viewer).expect("viewer exists");
-                for (sid, lease) in temp {
+                for (sid, lease) in std::mem::take(&mut v.temp_leases) {
                     let bw = self.stream_bw[&sid];
                     // The converted serve must hold a real inbound
                     // reservation like any other subscription.
                     if v.ports.inbound.reserve(bw).is_err() {
-                        overflow.push(lease);
+                        self.cdn.release(lease);
                         continue;
                     }
                     v.subs.insert(
@@ -1994,15 +2069,13 @@ impl TelecastSession {
                     accepted += 1;
                 }
             }
-            for lease in overflow {
-                self.cdn.release(lease);
-            }
             self.metrics.accepted_streams.add(accepted);
         }
     }
 
-    /// Places one stream; returns `(parent, displaced_member)` or `None`
-    /// if the stream cannot be served.
+    /// Places one stream; returns `(parent, displaced_member, lease)`,
+    /// with the CDN lease a fallback to the CDN took, or `None` if the
+    /// stream cannot be served.
     #[allow(clippy::too_many_arguments)]
     fn place_stream(
         &mut self,
@@ -2014,7 +2087,7 @@ impl TelecastSession {
         bw: Bandwidth,
         out_degree: u32,
         outbound_capacity: Bandwidth,
-    ) -> Option<(TreeParent, Option<NodeId>)> {
+    ) -> Option<(TreeParent, Option<NodeId>, Option<CdnLease>)> {
         match self.config.placement {
             PlacementStrategy::PushDown => {
                 let tree = self.scopes[scope]
@@ -2027,7 +2100,7 @@ impl TelecastSession {
                     if let Some(d) = displaced {
                         self.reread_up(d, stream);
                     }
-                    Some((parent, displaced))
+                    Some((parent, displaced, None))
                 } else {
                     // Fall back to the CDN.
                     match self.cdn.serve(stream, bw, region) {
@@ -2038,11 +2111,7 @@ impl TelecastSession {
                                 .tree_mut(stream)
                                 .expect("tree exists");
                             tree.attach_to_cdn(viewer, out_degree, outbound_capacity);
-                            self.viewers
-                                .get_mut(&viewer)
-                                .expect("viewer exists")
-                                .stash_cdn_lease(stream, lease);
-                            Some((TreeParent::Cdn, None))
+                            Some((TreeParent::Cdn, None, Some(lease)))
                         }
                         Err(_) => None,
                     }
@@ -2056,7 +2125,7 @@ impl TelecastSession {
                     .expect("tree covers view stream");
                 if let Some(parent) = tree.first_free_slot_holder() {
                     tree.attach_under(viewer, out_degree, outbound_capacity, parent);
-                    Some((TreeParent::Viewer(parent), None))
+                    Some((TreeParent::Viewer(parent), None, None))
                 } else {
                     match self.cdn.serve(stream, bw, region) {
                         Ok(lease) => {
@@ -2066,11 +2135,7 @@ impl TelecastSession {
                                 .tree_mut(stream)
                                 .expect("tree exists");
                             tree.attach_to_cdn(viewer, out_degree, outbound_capacity);
-                            self.viewers
-                                .get_mut(&viewer)
-                                .expect("viewer exists")
-                                .stash_cdn_lease(stream, lease);
-                            Some((TreeParent::Cdn, None))
+                            Some((TreeParent::Cdn, None, Some(lease)))
                         }
                         Err(_) => None,
                     }
@@ -2127,7 +2192,7 @@ impl TelecastSession {
                         tree.attach_to_cdn(parent, u32::MAX, outbound_capacity);
                     }
                     tree.attach_under(viewer, u32::MAX, outbound_capacity, parent);
-                    Some((TreeParent::Viewer(parent), None))
+                    Some((TreeParent::Viewer(parent), None, None))
                 } else {
                     match self.cdn.serve(stream, bw, region) {
                         Ok(lease) => {
@@ -2136,11 +2201,7 @@ impl TelecastSession {
                                 .entry(stream)
                                 .or_insert_with(|| StreamTree::new(stream));
                             tree.attach_to_cdn(viewer, u32::MAX, outbound_capacity);
-                            self.viewers
-                                .get_mut(&viewer)
-                                .expect("viewer exists")
-                                .stash_cdn_lease(stream, lease);
-                            Some((TreeParent::Cdn, None))
+                            Some((TreeParent::Cdn, None, Some(lease)))
                         }
                         Err(_) => None,
                     }
@@ -2150,14 +2211,15 @@ impl TelecastSession {
     }
 
     /// Undoes a placement made earlier in the same join (the viewer has
-    /// no children yet in that tree).
+    /// no children yet in that tree), releasing the CDN `lease` it held
+    /// pending, if any.
     fn undo_placement(
         &mut self,
         viewer: NodeId,
         view: ViewId,
         scope: usize,
         stream: StreamId,
-        parent: TreeParent,
+        lease: Option<CdnLease>,
     ) {
         let is_random = matches!(self.config.placement, PlacementStrategy::Random { .. });
         if is_random {
@@ -2191,15 +2253,8 @@ impl TelecastSession {
                 }
             }
         }
-        if parent == TreeParent::Cdn {
-            if let Some(lease) = self
-                .viewers
-                .get_mut(&viewer)
-                .expect("viewer exists")
-                .temp_cdn_lease_take(stream)
-            {
-                self.cdn.release(lease);
-            }
+        if let Some(lease) = lease {
+            self.cdn.release(lease);
         }
     }
 
@@ -2216,21 +2271,15 @@ impl TelecastSession {
 
         // Fast path: serve every stream of the new view straight from the
         // CDN (temporary leases).
-        let new_streams: Vec<(StreamId, Bandwidth)> = self
-            .catalog
-            .view(view)
-            .streams_by_priority()
-            .iter()
-            .map(|s| (s.stream, Bandwidth::from_kbps(s.bitrate_kbps)))
-            .collect();
         let mut temp_granted = 0usize;
-        for (sid, bw) in &new_streams {
-            if let Ok(lease) = self.cdn.serve(*sid, *bw, region) {
+        for s in self.catalog.view(view).streams_by_priority() {
+            let bw = Bandwidth::from_kbps(s.bitrate_kbps);
+            if let Ok(lease) = self.cdn.serve(s.stream, bw, region) {
                 self.viewers
                     .get_mut(&viewer)
                     .expect("viewer exists")
                     .temp_leases
-                    .insert(*sid, lease);
+                    .insert(s.stream, lease);
                 temp_granted += 1;
             }
         }
@@ -2295,22 +2344,20 @@ impl TelecastSession {
         };
         let _ = state;
         self.teardown_subscriptions(viewer);
-        let leases: Vec<_> = {
-            let v = self.viewers.get_mut(&viewer).expect("viewer exists");
-            if v.status == ViewerStatus::Connected {
-                self.connected_count -= 1;
-            }
-            v.status = ViewerStatus::Idle;
-            v.view = None;
-            v.temp_leases.drain_all()
-        };
-        for (_, lease) in leases {
+        let v = self.viewers.get_mut(&viewer).expect("viewer exists");
+        if v.status == ViewerStatus::Connected {
+            self.connected_count -= 1;
+        }
+        v.status = ViewerStatus::Idle;
+        v.view = None;
+        for (_, lease) in std::mem::take(&mut v.temp_leases) {
             self.cdn.release(lease);
         }
     }
 
     /// Releases every subscription of `viewer`: tree membership (victims
-    /// recovered), CDN leases, port reservations, routing entries. In
+    /// recovered), CDN leases, port reservations, routing entries (its
+    /// own, and its parents' forwards to it). In
     /// sharded mode a foreign serve cannot be released here — the leases
     /// live in the donor shard's pool — so they travel back via the
     /// outbox instead.
@@ -2328,12 +2375,15 @@ impl TelecastSession {
                 self.metrics.spill_releases.incr();
             }
         }
-        let (region, subs): (Region, Vec<(StreamId, StreamSub)>) = {
+        // The subscriptions move to the join scratch, so the viewer keeps
+        // its map's capacity for its next join.
+        let mut scratch = std::mem::take(&mut self.join_scratch);
+        let subs = &mut scratch.subs;
+        let (region, view) = {
             let v = self.viewers.get_mut(&viewer).expect("viewer exists");
-            let subs = std::mem::take(&mut v.subs).into_iter().collect();
-            (v.region, subs)
+            subs.extend(v.subs.drain());
+            (v.region, v.view)
         };
-        let view = self.viewers[&viewer].view;
         let scope = self.scope_of(region);
         let is_random = matches!(self.config.placement, PlacementStrategy::Random { .. });
         // Until the loop below reaches each tree, the viewer's children
@@ -2341,10 +2391,16 @@ impl TelecastSession {
         self.push_up_e2e(viewer, subs.iter().map(|&(sid, _)| sid), None);
 
         let mut inbound_release = Bandwidth::ZERO;
-        for (sid, sub) in subs {
+        for (sid, sub) in subs.drain(..) {
             inbound_release += Bandwidth::from_kbps(sub.bitrate_kbps);
             if let Some(lease) = sub.lease {
                 self.cdn.release(lease);
+            }
+            // Subscription-Stop: the parent no longer forwards to us.
+            if let TreeParent::Viewer(p) = sub.parent {
+                if let Some(pv) = self.viewers.get_mut(&p) {
+                    pv.routing.remove_child(sid, viewer);
+                }
             }
             if is_random {
                 if let Some(tree) = self.random_trees.get_mut(&sid) {
@@ -2390,8 +2446,11 @@ impl TelecastSession {
                 }
             }
             v.out_degrees.clear();
+            // Freed rather than cleared, like `temp_leases`: a viewer
+            // forwards again only once children attach under it.
             v.routing = telecast_overlay::SessionRoutingTable::new();
         }
+        self.join_scratch = scratch;
         if let Some(v) = view {
             if !is_random {
                 self.scopes[scope].leave(viewer);
@@ -2682,16 +2741,17 @@ impl TelecastSession {
         parent: TreeParent,
     ) {
         // A displaced node (now our child) may have been CDN-served; its
-        // lease becomes spare.
-        let displaced: Vec<NodeId> = self.scopes[scope]
-            .group(view)
-            .and_then(|g| g.tree(stream))
-            .map(|t| t.children_of(viewer).collect())
-            .unwrap_or_default();
+        // lease becomes spare. Nothing below nests a chain before the
+        // frame goes back.
+        let mut frame = self.resync_frames.pop().unwrap_or_default();
+        let displaced = &mut frame.displaced;
+        if let Some(tree) = self.scopes[scope].group(view).and_then(|g| g.tree(stream)) {
+            displaced.extend(tree.children_of(viewer));
+        }
         self.reread_up(viewer, stream);
-        self.reread_up_all(&displaced, stream);
-        let mut spare_leases: Vec<telecast_cdn::CdnLease> = Vec::new();
-        for d in displaced {
+        self.reread_up_all(displaced, stream);
+        let spare_leases = &mut frame.leases;
+        for d in displaced.drain(..) {
             let lease = self
                 .viewers
                 .get_mut(&d)
@@ -2717,9 +2777,10 @@ impl TelecastSession {
                 }
             }
         }
-        for lease in spare_leases {
+        for lease in spare_leases.drain(..) {
             self.cdn.release(lease);
         }
+        self.resync_frames.push(frame);
         // The inherited lease may still be missing (displaced child was
         // itself mid-recovery): serve from the pool or give the stream up.
         let needs_lease = {
@@ -2852,15 +2913,15 @@ impl TelecastSession {
                     .extend(self.children_in_trees(view, scope, w, &frame.changed));
             }
             #[cfg(debug_assertions)]
-            {
-                let walk: Vec<NodeId> = self
-                    .children_in_trees(view, scope, w, &frame.changed)
-                    .collect();
-                assert_eq!(
-                    frame.walked, walk,
-                    "pushes walked other children than the trees hold"
-                );
-            }
+            assert!(
+                frame.walked.iter().copied().eq(self.children_in_trees(
+                    view,
+                    scope,
+                    w,
+                    &frame.changed
+                )),
+                "pushes walked other children than the trees hold"
+            );
             for &child in &frame.walked {
                 frame.queue.push_back(child);
                 if let Some(slot) = self.viewers.slot(&child) {
@@ -2962,9 +3023,8 @@ impl TelecastSession {
         // §VI CDN reroutes for over-limit streams, and drops when the
         // pool is full too.
         let changed = &mut frame.changed;
-        let mut drops = Vec::new();
-        let mut reroutes: Vec<StreamId> = Vec::new();
-        let mut stale_leases = Vec::new();
+        let (reroutes, drops) = (&mut frame.reroutes, &mut frame.drops);
+        let stale_leases = &mut frame.leases;
         {
             let max_layer = self.scheme.max_layer();
             let v = self.viewers.get_mut(&viewer).expect("viewer exists");
@@ -3008,7 +3068,7 @@ impl TelecastSession {
                 sub.pushed_down = pushed_down;
             }
         }
-        for lease in stale_leases {
+        for lease in stale_leases.drain(..) {
             self.cdn.release(lease);
         }
         // Send the new delays down before anything below can run a
@@ -3019,7 +3079,7 @@ impl TelecastSession {
         // provision the stream from the CDN" — only drop when the pool is
         // exhausted too.
         let settled = reroutes.is_empty() && drops.is_empty();
-        for sid in reroutes {
+        for sid in reroutes.drain(..) {
             let bw = self.stream_bw[&sid];
             let region = self.viewers[&viewer].region;
             match self.cdn.serve(sid, bw, region) {
@@ -3048,7 +3108,7 @@ impl TelecastSession {
                 Err(_) => drops.push(sid),
             }
         }
-        for sid in drops {
+        for sid in drops.drain(..) {
             self.drop_stream(viewer, sid, view, scope);
         }
         settled
@@ -3349,7 +3409,7 @@ impl TelecastSession {
     /// Donor half of a spill: serve every stream of `view` from this
     /// shard's pool, all-or-nothing. Returns the leases (in the view's
     /// stream order) or `None` with nothing reserved.
-    pub(crate) fn shard_grant_view(&mut self, view: ViewId) -> Option<Vec<telecast_cdn::CdnLease>> {
+    pub(crate) fn shard_grant_view(&mut self, view: ViewId) -> Option<Vec<CdnLease>> {
         let region = self.shard.as_ref().map(|s| s.region)?;
         let streams: Vec<StreamId> = self.catalog.view(view).streams().collect();
         let mut leases = Vec::with_capacity(streams.len());
@@ -3378,8 +3438,8 @@ impl TelecastSession {
         viewer: NodeId,
         view: ViewId,
         donor: usize,
-        leases: Vec<telecast_cdn::CdnLease>,
-    ) -> Result<(), Vec<telecast_cdn::CdnLease>> {
+        leases: Vec<CdnLease>,
+    ) -> Result<(), Vec<CdnLease>> {
         let pending = self
             .shard
             .as_mut()
@@ -3424,7 +3484,7 @@ impl TelecastSession {
 
     /// Releases donor-pool leases handed back by the coordinator (a
     /// departed spill-served viewer, or a grant the owner refused).
-    pub(crate) fn shard_release_leases(&mut self, leases: Vec<telecast_cdn::CdnLease>) {
+    pub(crate) fn shard_release_leases(&mut self, leases: Vec<CdnLease>) {
         for lease in leases {
             self.cdn.release(lease);
         }
@@ -3476,26 +3536,47 @@ impl TelecastSession {
     }
 }
 
-// Small private conveniences on ViewerState used only by the session.
-impl ViewerState {
-    fn stash_cdn_lease(&mut self, stream: StreamId, lease: telecast_cdn::CdnLease) {
-        let previous = self.pending_leases.insert(stream, lease);
-        debug_assert!(previous.is_none(), "pending lease overwritten");
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use telecast_cdn::CdnConfig;
+    use telecast_media::{ChurnSpec, ProducerSite, SiteId};
+    use telecast_net::BandwidthProfile;
+
+    /// `n` viewers churning for 20 simulated minutes with the §VI
+    /// adaptation loop armed and `cdn_mbps` of CDN pool per viewer.
+    fn adaptive_churn(n: usize, seed: u64, cdn_mbps: u64) -> TelecastSession {
+        let config = SessionConfig {
+            sites: vec![
+                ProducerSite::ring(SiteId::new(0), 6, 2_000, 10),
+                ProducerSite::ring(SiteId::new(1), 6, 2_000, 10),
+            ],
+            streams_per_local_view: 3,
+            adaptation_period: Some(SimDuration::from_secs(60)),
+            ..SessionConfig::default()
+        }
+        .with_outbound(BandwidthProfile::uniform_mbps(2, 14))
+        .with_cdn(CdnConfig::default().with_outbound(Bandwidth::from_mbps(cdn_mbps * n as u64)))
+        .with_prune_floor(6)
+        .with_seed(seed);
+        let mut session = TelecastSession::builder(config).viewers(n).build();
+        let horizon = SimTime::from_secs(20 * 60);
+        session.start_churn(ChurnSpec::steady_state(2 * n / 3, 0.1), horizon, n / 2);
+        session.run_until(horizon);
+        session
     }
 
-    fn temp_cdn_lease_take(&mut self, stream: StreamId) -> Option<telecast_cdn::CdnLease> {
-        self.pending_leases.remove(&stream)
-    }
-}
-
-trait DrainAll {
-    type Item;
-    fn drain_all(&mut self) -> Vec<Self::Item>;
-}
-
-impl<K: Ord + Copy, V> DrainAll for VecMap<K, V> {
-    type Item = (K, V);
-    fn drain_all(&mut self) -> Vec<(K, V)> {
-        std::mem::take(self).into_iter().collect()
+    /// A drop inside a resync recovers victims, whose repositions run a
+    /// subscription chain of their own inside the caller's, and so on
+    /// down (see ARCHITECTURE.md, "The event loop"). Nothing bounds the
+    /// nesting but the pool: on this tight-pool churn it reaches the
+    /// depth pinned here, and every call has ended once the run has.
+    #[test]
+    fn tight_pool_churn_nests_the_chain_to_a_pinned_depth() {
+        let session = adaptive_churn(150, 6, 2);
+        assert_eq!(session.metrics.layer_drops.value(), 26);
+        assert_eq!(session.resync_visits.max_depth, 5);
+        assert_eq!(session.resync_visits.depth, 0);
+        assert!(session.resync_visits.saved.is_empty());
     }
 }

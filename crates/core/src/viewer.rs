@@ -136,9 +136,6 @@ pub struct ViewerState {
     /// Temporary direct-CDN serves installed by the fast view-change path,
     /// released once the background join lands.
     pub temp_leases: VecMap<StreamId, CdnLease>,
-    /// CDN leases acquired mid-placement, moved into [`StreamSub::lease`]
-    /// when the join commits (or released on rollback).
-    pub pending_leases: VecMap<StreamId, CdnLease>,
     /// The viewer's data-plane routing table (Table I).
     pub routing: SessionRoutingTable,
 }
@@ -155,7 +152,6 @@ impl ViewerState {
             subs: VecMap::new(),
             out_degrees: VecMap::new(),
             temp_leases: VecMap::new(),
-            pending_leases: VecMap::new(),
             routing: SessionRoutingTable::new(),
         }
     }
@@ -262,6 +258,12 @@ impl<K: Ord, V> VecMap<K, V> {
     /// Removes every entry, keeping the allocation.
     pub fn clear(&mut self) {
         self.entries.clear();
+    }
+
+    /// Removes every entry, yielding them in ascending key order and
+    /// keeping the allocation.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, (K, V)> {
+        self.entries.drain(..)
     }
 
     /// Keys in ascending order.

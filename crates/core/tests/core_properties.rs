@@ -3,7 +3,7 @@
 //! small workloads.
 
 use proptest::prelude::*;
-use telecast::alloc::{allocate_inbound, allocate_outbound, covers_all_sites};
+use telecast::alloc::{covers_all_sites, InboundPlan, OutboundPlan};
 use telecast::{LayerScheme, OutboundPolicy, SessionConfig, TelecastSession, ViewerStatus};
 use telecast_media::{PrioritizedStream, SiteId, StreamId, ViewId};
 use telecast_net::{Bandwidth, BandwidthProfile};
@@ -33,19 +33,21 @@ proptest! {
         capacity in 0u64..30_000,
     ) {
         let cap = Bandwidth::from_kbps(capacity);
-        let plan = allocate_inbound(&streams, cap, |_, _| true);
+        let mut plan = InboundPlan::default();
+        plan.allocate(&streams, cap, |_, _| true);
         prop_assert!(plan.inbound_used <= cap);
         prop_assert!(plan.accepted.len() <= streams.len());
         for (a, b) in plan.accepted.iter().zip(streams.iter()) {
             prop_assert_eq!(a.stream, b.stream, "accepted set must be a prefix");
         }
-        // Monotone: more capacity never accepts fewer streams.
-        let bigger = allocate_inbound(
-            &streams,
-            Bandwidth::from_kbps(capacity + 2_000),
-            |_, _| true,
-        );
-        prop_assert!(bigger.accepted.len() >= plan.accepted.len());
+        // Monotone: more capacity never accepts fewer streams. The
+        // refill reuses the plan and must equal a fresh one.
+        let accepted = plan.accepted.len();
+        plan.allocate(&streams, Bandwidth::from_kbps(capacity + 2_000), |_, _| true);
+        prop_assert!(plan.accepted.len() >= accepted);
+        let mut fresh = InboundPlan::default();
+        fresh.allocate(&streams, Bandwidth::from_kbps(capacity + 2_000), |_, _| true);
+        prop_assert_eq!(&plan, &fresh);
     }
 
     /// Round-robin outbound never overshoots capacity, leaves less than
@@ -57,15 +59,20 @@ proptest! {
         capacity in 0u64..60_000,
     ) {
         let cap = Bandwidth::from_kbps(capacity);
-        let rr = allocate_outbound(&streams, cap, OutboundPolicy::RoundRobin);
-        prop_assert!(rr.outbound_used <= cap);
+        let mut plan = OutboundPlan::default();
+        plan.allocate(&streams, cap, OutboundPolicy::RoundRobin);
+        prop_assert!(plan.outbound_used <= cap);
         // Round-robin is exhaustive: what remains fits no stream.
-        let leftover = cap - rr.outbound_used;
+        let leftover = cap - plan.outbound_used;
         let min_bw = streams.iter().map(|s| s.bitrate_kbps).min().unwrap_or(0);
         prop_assert!(leftover.as_kbps() < min_bw.max(1));
+        // Each policy refills the same plan, which must equal a fresh one.
         for policy in [OutboundPolicy::PriorityFirst, OutboundPolicy::EqualSplit] {
-            let plan = allocate_outbound(&streams, cap, policy);
+            plan.allocate(&streams, cap, policy);
             prop_assert!(plan.outbound_used <= cap);
+            let mut fresh = OutboundPlan::default();
+            fresh.allocate(&streams, cap, policy);
+            prop_assert_eq!(&plan, &fresh);
         }
     }
 
@@ -88,7 +95,8 @@ proptest! {
             })
             .collect();
         let cap = Bandwidth::from_kbps(capacity);
-        let rr = allocate_outbound(&streams, cap, OutboundPolicy::RoundRobin);
+        let mut rr = OutboundPlan::default();
+        rr.allocate(&streams, cap, OutboundPolicy::RoundRobin);
         let degs: Vec<u32> = rr.slots.iter().map(|&(_, d)| d).collect();
         for w in degs.windows(2) {
             prop_assert!(w[0] >= w[1], "slot monotonicity violated: {degs:?}");
@@ -97,7 +105,8 @@ proptest! {
         prop_assert!(hi - lo <= 1, "round-robin spread exceeds one: {degs:?}");
         // Under uniform rates, round-robin also uses at least as much
         // capacity as equal-split (which wastes per-stream remainders).
-        let es = allocate_outbound(&streams, cap, OutboundPolicy::EqualSplit);
+        let mut es = OutboundPlan::default();
+        es.allocate(&streams, cap, OutboundPolicy::EqualSplit);
         prop_assert!(rr.outbound_used >= es.outbound_used);
     }
 

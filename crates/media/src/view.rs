@@ -134,6 +134,9 @@ pub struct GlobalView {
     id: ViewId,
     orientation_degrees: f64,
     locals: Vec<LocalView>,
+    /// Every stream of `locals` in global priority order, sorted once
+    /// here because every join and view change reads it.
+    by_priority: Vec<PrioritizedStream>,
 }
 
 impl GlobalView {
@@ -144,10 +147,21 @@ impl GlobalView {
     /// Panics if `locals` is empty.
     pub fn new(id: ViewId, orientation: Orientation, locals: Vec<LocalView>) -> Self {
         assert!(!locals.is_empty(), "a global view spans at least one site");
+        let mut by_priority: Vec<PrioritizedStream> = locals
+            .iter()
+            .flat_map(|l| l.streams().iter().copied())
+            .collect();
+        by_priority.sort_by(|a, b| {
+            a.global_key()
+                .partial_cmp(&b.global_key())
+                .expect("priority key is never NaN")
+                .then_with(|| a.stream.cmp(&b.stream))
+        });
         GlobalView {
             id,
             orientation_degrees: orientation.degrees(),
             locals,
+            by_priority,
         }
     }
 
@@ -175,19 +189,8 @@ impl GlobalView {
     /// All streams of the 4D content in **global priority order**
     /// (ascending `η − df`, i.e. most important first). Ties are broken by
     /// site then camera index for determinism.
-    pub fn streams_by_priority(&self) -> Vec<PrioritizedStream> {
-        let mut all: Vec<PrioritizedStream> = self
-            .locals
-            .iter()
-            .flat_map(|l| l.streams().iter().copied())
-            .collect();
-        all.sort_by(|a, b| {
-            a.global_key()
-                .partial_cmp(&b.global_key())
-                .expect("priority key is never NaN")
-                .then_with(|| a.stream.cmp(&b.stream))
-        });
-        all
+    pub fn streams_by_priority(&self) -> &[PrioritizedStream] {
+        &self.by_priority
     }
 
     /// Iterates over all stream ids in the view (unordered).

@@ -166,6 +166,24 @@ impl SessionRoutingTable {
         false
     }
 
+    /// Removes the forward of `stream` to `child` under whichever
+    /// upstream its entry matches — the child's Subscription-Stop, which
+    /// names no upstream: an entry keeps the upstream it had when the
+    /// child subscribed. Drops entries whose fan-out empties. Returns
+    /// the number of forwards removed.
+    pub fn remove_child(&mut self, stream: StreamId, child: NodeId) -> usize {
+        let mut removed = 0;
+        self.entries.retain(|&(s, _), entry| {
+            if s == stream {
+                let before = entry.forwards.len();
+                entry.forwards.retain(|&(c, _, _)| c != child);
+                removed += before - entry.forwards.len();
+            }
+            !entry.forwards.is_empty()
+        });
+        removed
+    }
+
     /// Removes every entry of `stream` (used on view change / stream
     /// drop). Returns the number of entries removed.
     pub fn remove_stream(&mut self, stream: StreamId) -> usize {
@@ -268,6 +286,24 @@ mod tests {
         assert!(table.remove_forward(stream, parent, children[0]));
         assert!(table.is_empty());
         assert!(!table.remove_forward(stream, parent, children[0]));
+    }
+
+    #[test]
+    fn remove_child_finds_the_forward_under_any_upstream() {
+        let (stream, parent, children) = setup();
+        let mut table = SessionRoutingTable::new();
+        let other = StreamId::new(SiteId::new(0), 1);
+        table.add_forward(stream, parent, children[0], SubscriptionPoint::Live);
+        table.add_forward(stream, parent, children[1], SubscriptionPoint::Live);
+        table.add_forward(stream, children[2], children[0], SubscriptionPoint::Live);
+        table.add_forward(other, parent, children[0], SubscriptionPoint::Live);
+        assert_eq!(table.remove_child(stream, children[0]), 2);
+        // The emptied entry is gone; the other child and stream stay.
+        assert!(table.matching(stream, children[2]).is_none());
+        let kept: Vec<NodeId> = table.matching(stream, parent).unwrap().children().collect();
+        assert_eq!(kept, [children[1]]);
+        assert!(table.matching(other, parent).is_some());
+        assert_eq!(table.remove_child(stream, children[0]), 0);
     }
 
     #[test]

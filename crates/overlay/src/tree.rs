@@ -41,6 +41,7 @@
 //! ascending id order.
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 use telecast_sim::FxHashMap;
 
@@ -164,6 +165,27 @@ enum AttachPlan {
     },
 }
 
+/// The tree's reusable buffer for subtree walks, so a walk allocates
+/// nothing once the buffer has grown to the largest subtree moved. It
+/// holds no tree state between calls: it compares equal to any other,
+/// clones empty and is not serialised.
+#[derive(Debug, Default)]
+struct WalkBuf(Vec<NodeId>);
+
+impl Clone for WalkBuf {
+    fn clone(&self) -> Self {
+        WalkBuf::default()
+    }
+}
+
+impl PartialEq for WalkBuf {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for WalkBuf {}
+
 /// One stream's dissemination tree inside a view group.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StreamTree {
@@ -193,6 +215,11 @@ pub struct StreamTree {
     /// same as the replaced BFS; realistic mixes displace weak members
     /// with few descendants (a degree-0 victim has none).
     depth_shift_ops: u64,
+    /// Scratch for [`Self::push_subtree`] and [`Self::shift_subtree`].
+    /// Walks stack on it: each appends past what an enclosing walk
+    /// holds and truncates back when done.
+    #[serde(skip)]
+    walk: WalkBuf,
 }
 
 impl StreamTree {
@@ -206,6 +233,7 @@ impl StreamTree {
             level_free: Levels::default(),
             attach_probes: 0,
             depth_shift_ops: 0,
+            walk: WalkBuf::default(),
         }
     }
 
@@ -317,15 +345,18 @@ impl StreamTree {
         }
     }
 
-    /// `viewer` plus every descendant, in BFS order.
-    fn subtree_of(&self, root: NodeId) -> Vec<NodeId> {
-        let mut out = vec![root];
-        let mut i = 0;
-        while i < out.len() {
-            out.extend_from_slice(&self.nodes[&out[i]].children);
+    /// Appends `root` plus every descendant, in BFS order, to the walk
+    /// buffer; returns where they sit in it.
+    fn push_subtree(&mut self, root: NodeId) -> Range<usize> {
+        let walk = &mut self.walk.0;
+        let start = walk.len();
+        walk.push(root);
+        let mut i = start;
+        while let Some(&v) = walk.get(i) {
             i += 1;
+            walk.extend_from_slice(&self.nodes[&v].children);
         }
-        out
+        start..walk.len()
     }
 
     /// Shifts the depth of every member of `root`'s subtree by `delta`,
@@ -338,9 +369,11 @@ impl StreamTree {
         if delta == 0 {
             return;
         }
-        let mut queue = vec![root];
-        let mut i = 0;
-        while let Some(&v) = queue.get(i) {
+        let walk = &mut self.walk.0;
+        let start = walk.len();
+        walk.push(root);
+        let mut i = start;
+        while let Some(&v) = walk.get(i) {
             i += 1;
             let n = self.nodes.get_mut(&v).expect("subtree member");
             let (from, key) = (n.depth, n.key(v));
@@ -349,16 +382,17 @@ impl StreamTree {
             if n.has_free_slot() {
                 self.level_free.relocate(from, n.depth, key);
             }
-            queue.extend_from_slice(&n.children);
+            walk.extend_from_slice(&n.children);
         }
-        self.depth_shift_ops += queue.len() as u64;
+        self.depth_shift_ops += (walk.len() - start) as u64;
+        walk.truncate(start);
     }
 
-    /// Takes a parked subtree (hung at depth 0) out of the level sets, so
-    /// the planner offers none of its members or slots, and counts one
-    /// depth update per member.
-    fn hide(&mut self, subtree: &[NodeId]) {
-        for &v in subtree {
+    /// Takes a parked subtree (hung at depth 0, held in the walk buffer
+    /// at `subtree`) out of the level sets, so the planner offers none
+    /// of its members or slots, and counts one depth update per member.
+    fn hide(&mut self, subtree: Range<usize>) {
+        for &v in &self.walk.0[subtree.clone()] {
             let n = &self.nodes[&v];
             let key = n.key(v);
             self.level_members.remove(n.depth, &key);
@@ -369,10 +403,10 @@ impl StreamTree {
         self.depth_shift_ops += subtree.len() as u64;
     }
 
-    /// Puts a hidden subtree back into the level sets, hung `offset`
-    /// levels below the CDN root.
-    fn rehang(&mut self, subtree: &[NodeId], offset: usize) {
-        for &v in subtree {
+    /// Puts a hidden subtree (held in the walk buffer at `subtree`) back
+    /// into the level sets, hung `offset` levels below the CDN root.
+    fn rehang(&mut self, subtree: Range<usize>, offset: usize) {
+        for &v in &self.walk.0[subtree] {
             let n = self.nodes.get_mut(&v).expect("subtree member");
             n.depth += offset;
             let key = n.key(v);
@@ -543,16 +577,16 @@ impl StreamTree {
         // Detach: hide the viewer's subtree from the planner so neither
         // its free slots nor its members are candidates (the viewer
         // cannot become its own descendant).
-        let subtree = self.subtree_of(viewer);
-        self.hide(&subtree);
+        let subtree = self.push_subtree(viewer);
+        self.hide(subtree.clone());
         let n = &self.nodes[&viewer];
         // Displacement makes the victim a child of the repositioned
         // viewer, so the viewer needs a spare slot of its own (unlike a
         // fresh join, it may carry children).
-        match self.plan_attach(n.out_degree, n.outbound_capacity, n.has_free_slot()) {
+        let placed = match self.plan_attach(n.out_degree, n.outbound_capacity, n.has_free_slot()) {
             None => {
                 // No position: the subtree stays at the CDN root.
-                self.rehang(&subtree, 0);
+                self.rehang(subtree.clone(), 0);
                 None
             }
             Some(AttachPlan::Free { under }) => {
@@ -562,7 +596,7 @@ impl StreamTree {
                 self.nodes.get_mut(&viewer).expect("member").parent = TreeParent::Viewer(under);
                 // The whole subtree hung at depth 0; it now hangs at
                 // `new_depth`.
-                self.rehang(&subtree, new_depth);
+                self.rehang(subtree.clone(), new_depth);
                 self.depth_shift_ops += subtree.len() as u64;
                 self.refresh_slot(under);
                 Some(TreeParent::Viewer(under))
@@ -583,12 +617,14 @@ impl StreamTree {
                 // the root to z's old position. z's old parent swapped z
                 // for the viewer (count unchanged); the viewer gained z.
                 self.shift_subtree(z, 1);
-                self.rehang(&subtree, z_depth);
+                self.rehang(subtree.clone(), z_depth);
                 self.depth_shift_ops += subtree.len() as u64;
                 self.refresh_slot(viewer);
                 Some(old_parent)
             }
-        }
+        };
+        self.walk.0.truncate(subtree.start);
+        placed
     }
 
     fn attach(

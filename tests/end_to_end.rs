@@ -131,6 +131,54 @@ fn routing_tables_reflect_tree_children() {
     assert!(forwarded_edges > 0, "some P2P forwarding exists");
 }
 
+/// A departing or failing viewer stops every forward to it: its
+/// parents' Table I entries must not keep feeding a viewer that left.
+#[test]
+fn departed_viewers_leave_no_forward_behind() {
+    let config = SessionConfig::default()
+        .with_outbound(BandwidthProfile::fixed_mbps(10))
+        .with_seed(6);
+    let mut session = TelecastSession::builder(config).viewers(30).build();
+    let ids = session.viewer_ids().to_vec();
+    for &v in &ids {
+        session.request_join(v, ViewId::new(0)).expect("valid");
+    }
+    session.run_to_idle();
+    let forwards_to = |session: &TelecastSession, child| -> usize {
+        ids.iter()
+            .map(|&p| session.viewer(p).unwrap())
+            .flat_map(|parent| parent.routing.iter())
+            .filter(|(_, entry)| entry.children().any(|c| c == child))
+            .count()
+    };
+    let (departing, failing): (Vec<_>, Vec<_>) = ids
+        .iter()
+        .copied()
+        .filter(|&v| forwards_to(&session, v) > 0)
+        .take(6)
+        .partition(|v| v.index() % 2 == 0);
+    assert!(
+        !departing.is_empty() && !failing.is_empty(),
+        "both exits are exercised on viewers with P2P parents"
+    );
+    for &v in &departing {
+        session.request_depart(v).expect("connected");
+    }
+    for &v in &failing {
+        session.fail_viewer(v).expect("connected");
+    }
+    session.run_to_idle();
+    for &v in departing.iter().chain(&failing) {
+        assert_eq!(session.viewer(v).unwrap().status, ViewerStatus::Idle);
+        assert_eq!(
+            forwards_to(&session, v),
+            0,
+            "a parent still forwards to {v}"
+        );
+        assert!(session.viewer(v).unwrap().routing.is_empty());
+    }
+}
+
 #[test]
 fn catalog_views_cover_both_sites_with_three_streams_each() {
     let sites = ProducerSite::teeve_pair();
