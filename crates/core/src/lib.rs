@@ -51,7 +51,6 @@ mod error;
 mod layers;
 mod metrics;
 mod monitor;
-mod protocol;
 mod runtime;
 mod session;
 mod shard;
@@ -65,7 +64,6 @@ pub use error::{RejectReason, TelecastError};
 pub use layers::LayerScheme;
 pub use metrics::SessionMetrics;
 pub use monitor::{GscMonitor, StreamMeta};
-pub use protocol::{ControlMessage, ProtocolLog, ProtocolPhase};
 pub use runtime::{EpochRuntime, MemberStats};
 pub use session::{SessionBuilder, TelecastSession};
 pub use shard::{ShardedSession, Shards};

@@ -6,13 +6,12 @@
 //! All metadata information are available for the viewers upon query."
 //!
 //! [`GscMonitor`] is that registry: per-stream production metadata (the
-//! `n` and `r` of Equation 2) plus the region → LSC directory used to
-//! route join requests.
+//! `n` and `r` of Equation 2), the session's one copy of each stream's
+//! frame rate.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use telecast_media::{FrameNumber, ProducerSite, StreamId};
-use telecast_net::{NodeId, Region};
 use telecast_sim::SimTime;
 
 /// Production metadata of one stream, as the GSC reports it.
@@ -30,13 +29,11 @@ pub struct StreamMeta {
 #[derive(Debug, Clone)]
 pub struct GscMonitor {
     streams: HashMap<StreamId, StreamMeta>,
-    lsc_by_region: BTreeMap<Region, NodeId>,
 }
 
 impl GscMonitor {
-    /// Builds the monitor from the session's producer sites and the
-    /// region → LSC directory.
-    pub fn new(sites: &[ProducerSite], lsc_by_region: BTreeMap<Region, NodeId>) -> Self {
+    /// Builds the monitor from the session's producer sites.
+    pub fn new(sites: &[ProducerSite]) -> Self {
         let mut streams = HashMap::new();
         for site in sites {
             for s in site.streams() {
@@ -50,10 +47,7 @@ impl GscMonitor {
                 );
             }
         }
-        GscMonitor {
-            streams,
-            lsc_by_region,
-        }
+        GscMonitor { streams }
     }
 
     /// Metadata for `stream`, if it is produced in this session.
@@ -70,42 +64,26 @@ impl GscMonitor {
             at.as_micros() * meta.fps as u64 / 1_000_000,
         ))
     }
-
-    /// The LSC responsible for `region`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region has no LSC — the session registers one per
-    /// region at construction.
-    pub fn lsc_for(&self, region: Region) -> NodeId {
-        self.lsc_by_region[&region]
-    }
-
-    /// Number of monitored streams.
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use telecast_net::{NodeKind, NodeRegistry};
 
     fn monitor() -> GscMonitor {
-        let mut reg = NodeRegistry::new();
-        let mut lscs = BTreeMap::new();
-        for &r in &Region::ALL {
-            lscs.insert(r, reg.add(NodeKind::LocalController, r));
-        }
-        GscMonitor::new(&ProducerSite::teeve_pair(), lscs)
+        GscMonitor::new(&ProducerSite::teeve_pair())
     }
 
     #[test]
     fn registers_every_producer_stream() {
         let m = monitor();
-        assert_eq!(m.stream_count(), 16);
-        let any = ProducerSite::teeve_pair()[0].streams()[3].id;
+        let sites = ProducerSite::teeve_pair();
+        let streams: Vec<_> = sites.iter().flat_map(|s| s.streams()).collect();
+        assert_eq!(streams.len(), 16);
+        for s in &streams {
+            assert_eq!(m.stream_meta(s.id).map(|meta| meta.fps), Some(s.fps));
+        }
+        let any = sites[0].streams()[3].id;
         let meta = m.stream_meta(any).expect("registered");
         assert_eq!(meta.fps, 10);
         assert_eq!(meta.bitrate_kbps, 2_000);
@@ -135,13 +113,5 @@ mod tests {
         let foreign = StreamId::new(telecast_media::SiteId::new(9), 0);
         assert_eq!(m.stream_meta(foreign), None);
         assert_eq!(m.latest_frame(foreign, SimTime::ZERO), None);
-    }
-
-    #[test]
-    fn lsc_directory_covers_all_regions() {
-        let m = monitor();
-        for &r in &Region::ALL {
-            let _ = m.lsc_for(r); // must not panic
-        }
     }
 }

@@ -26,7 +26,9 @@ use telecast_net::{
     Bandwidth, CoordinateDelayModel, DelayBackend, DelayModel, NodeId, NodeKind, NodePorts,
     NodeRegistry, Region, SyntheticPlanetLab,
 };
-use telecast_overlay::{GroupTable, StreamTree, SubscriptionPoint, TreeParent};
+use telecast_overlay::{
+    GroupTable, SessionRoutingTable, StreamTree, SubscriptionPoint, TreeParent,
+};
 use telecast_sim::{Engine, SimDuration, SimRng, SimTime};
 
 use crate::alloc::{covers_all_sites, InboundPlan, OutboundPlan};
@@ -193,8 +195,6 @@ struct JoinScratch {
     layers: Vec<u64>,
     /// `placed` less the streams the layering gave up.
     kept: Vec<PrioritizedStream>,
-    /// `(parent, stream, point)` forwards the commit installs.
-    parent_updates: Vec<(NodeId, StreamId, SubscriptionPoint)>,
     /// The joiner's committed streams, in stream order.
     streams: Vec<StreamId>,
 }
@@ -210,7 +210,6 @@ impl JoinScratch {
         self.subs.clear();
         self.layers.clear();
         self.kept.clear();
-        self.parent_updates.clear();
         self.streams.clear();
     }
 }
@@ -373,15 +372,13 @@ impl SessionBuilder {
         };
 
         let mut stream_bw = FxHashMap::default();
-        let mut stream_fps = FxHashMap::default();
         for site in &config.sites {
             for s in site.streams() {
                 stream_bw.insert(s.id, Bandwidth::from_kbps(s.bitrate_kbps));
-                stream_fps.insert(s.id, s.fps);
             }
         }
 
-        let monitor = GscMonitor::new(&config.sites, lsc_nodes.clone());
+        let monitor = GscMonitor::new(&config.sites);
         let cdn = match self.cdn_handle {
             Some(handle) => handle,
             None => CapacityBroker::single(config.cdn),
@@ -417,7 +414,6 @@ impl SessionBuilder {
             viewers,
             viewer_pool,
             stream_bw,
-            stream_fps,
             metrics: SessionMetrics::new(),
             rng: workload_rng,
             adaptation_armed: false,
@@ -494,7 +490,6 @@ pub struct TelecastSession {
     viewers: ViewerTable,
     viewer_pool: Vec<NodeId>,
     stream_bw: FxHashMap<StreamId, Bandwidth>,
-    stream_fps: FxHashMap<StreamId, u32>,
     metrics: SessionMetrics,
     rng: SimRng,
     adaptation_armed: bool,
@@ -647,6 +642,40 @@ impl TelecastSession {
         self.viewers
             .get(&viewer)
             .ok_or(TelecastError::UnknownViewer(viewer))
+    }
+
+    /// `viewer`'s session routing table (Table I), derived from the
+    /// subscriptions: one forward per connected child whose subscription
+    /// to a stream names `viewer` as its parent, matched on the stream
+    /// and `viewer`'s own upstream for it (the CDN edge node when the CDN
+    /// serves it). A pushed-down child is fed from its Eq. 2 frame, any
+    /// other child live. The scan visits every viewer, so no event path
+    /// calls it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TelecastError::UnknownViewer`] for ids not in the pool.
+    pub fn routing_table(&self, viewer: NodeId) -> Result<SessionRoutingTable, TelecastError> {
+        self.viewer(viewer)?;
+        let mut table = SessionRoutingTable::new();
+        let connected = self
+            .viewers
+            .values()
+            .filter(|c| c.status == ViewerStatus::Connected);
+        for child in connected {
+            for (&sid, sub) in &child.subs {
+                if sub.parent != TreeParent::Viewer(viewer) {
+                    continue;
+                }
+                let point = if sub.pushed_down {
+                    SubscriptionPoint::Frame(self.subscription_frame_for(child.node, sid))
+                } else {
+                    SubscriptionPoint::Live
+                };
+                table.add_forward(sid, self.upstream_node_of(viewer, sid), child.node, point);
+            }
+        }
+        Ok(table)
     }
 
     // ------------------------------------------------------------------
@@ -1765,10 +1794,6 @@ impl TelecastSession {
                     .reserve(outbound_used)
                     .expect("outbound allocation fits by construction");
             }
-            v.out_degrees.reserve_exact(out_plan.slots.len());
-            for &(s, deg) in &out_plan.slots {
-                v.out_degrees.insert(s, deg);
-            }
         }
 
         // Delay layers (§V): Eq. 1 per stream, then layer push-down.
@@ -1895,7 +1920,6 @@ impl TelecastSession {
             {
                 v.ports.outbound.release(out_plan.outbound_used);
             }
-            v.out_degrees.clear();
             self.finish_rejected(viewer, view, background);
             return;
         }
@@ -1923,14 +1947,6 @@ impl TelecastSession {
                 if sub.parent == TreeParent::Cdn {
                     sub.lease = scratch.pending.remove(&sid);
                 }
-                if let TreeParent::Viewer(p) = sub.parent {
-                    let point = if sub.pushed_down {
-                        SubscriptionPoint::Frame(FrameNumber::ZERO) // fixed below
-                    } else {
-                        SubscriptionPoint::Live
-                    };
-                    scratch.parent_updates.push((p, sid, point));
-                }
                 v.subs.insert(sid, sub);
             }
             scratch.streams.extend(v.subs.keys().copied());
@@ -1946,19 +1962,6 @@ impl TelecastSession {
         // abandoned views.
         if !matches!(self.config.placement, PlacementStrategy::Random { .. }) {
             self.scopes[scope].join(viewer, view);
-        }
-        // Fill in Eq. 2 subscription points and update parent routing
-        // tables (Fig. 6 protocol).
-        for (p, sid, point) in scratch.parent_updates.drain(..) {
-            let point = match point {
-                SubscriptionPoint::Live => SubscriptionPoint::Live,
-                SubscriptionPoint::Frame(_) => {
-                    SubscriptionPoint::Frame(self.subscription_frame_for(viewer, sid))
-                }
-            };
-            let grandparent = self.upstream_node_of(p, sid);
-            let pv = self.viewers.get_mut(&p).expect("parent exists");
-            pv.routing.add_forward(sid, grandparent, viewer, point);
         }
         if matches!(self.config.placement, PlacementStrategy::Random { .. }) {
             for &sid in &scratch.streams {
@@ -2022,7 +2025,6 @@ impl TelecastSession {
         }
         {
             let v = self.viewers.get_mut(&viewer).expect("viewer exists");
-            v.out_degrees.clear();
             if background {
                 // Keep watching via the temporary CDN serves: convert them
                 // into plain CDN subscriptions.
@@ -2356,8 +2358,10 @@ impl TelecastSession {
     }
 
     /// Releases every subscription of `viewer`: tree membership (victims
-    /// recovered), CDN leases, port reservations, routing entries (its
-    /// own, and its parents' forwards to it). In
+    /// recovered), CDN leases and port reservations. Releasing a
+    /// subscription is its Subscription-Stop: Table I is derived from
+    /// the subscriptions (see [`TelecastSession::routing_table`]), so the
+    /// parents' forwards to `viewer` end with them. In
     /// sharded mode a foreign serve cannot be released here — the leases
     /// live in the donor shard's pool — so they travel back via the
     /// outbox instead.
@@ -2395,12 +2399,6 @@ impl TelecastSession {
             inbound_release += Bandwidth::from_kbps(sub.bitrate_kbps);
             if let Some(lease) = sub.lease {
                 self.cdn.release(lease);
-            }
-            // Subscription-Stop: the parent no longer forwards to us.
-            if let TreeParent::Viewer(p) = sub.parent {
-                if let Some(pv) = self.viewers.get_mut(&p) {
-                    pv.routing.remove_child(sid, viewer);
-                }
             }
             if is_random {
                 if let Some(tree) = self.random_trees.get_mut(&sid) {
@@ -2445,10 +2443,6 @@ impl TelecastSession {
                     v.ports.outbound.release(used);
                 }
             }
-            v.out_degrees.clear();
-            // Freed rather than cleared, like `temp_leases`: a viewer
-            // forwards again only once children attach under it.
-            v.routing = telecast_overlay::SessionRoutingTable::new();
         }
         self.join_scratch = scratch;
         if let Some(v) = view {
@@ -3311,7 +3305,11 @@ impl TelecastSession {
     fn subscription_frame_for(&self, viewer: NodeId, stream: StreamId) -> FrameNumber {
         let state = &self.viewers[&viewer];
         let sub = &state.subs[&stream];
-        let fps = self.stream_fps[&stream];
+        let fps = self
+            .monitor
+            .stream_meta(stream)
+            .expect("subscribed streams are monitored")
+            .fps;
         let latest = self
             .monitor
             .latest_frame(stream, self.engine.now())

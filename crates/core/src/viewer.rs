@@ -8,7 +8,7 @@ use std::ops::Index;
 use telecast_cdn::CdnLease;
 use telecast_media::{StreamId, ViewId};
 use telecast_net::{epoch_index, NodeId, NodePorts, Region};
-use telecast_overlay::{SessionRoutingTable, TreeParent};
+use telecast_overlay::TreeParent;
 use telecast_sim::{SimDuration, SimTime};
 
 /// Lifecycle of a viewer within the session.
@@ -131,13 +131,9 @@ pub struct ViewerState {
     pub view: Option<ViewId>,
     /// Accepted stream subscriptions.
     pub subs: VecMap<StreamId, StreamSub>,
-    /// Out-degree granted per stream by the outbound allocation.
-    pub out_degrees: VecMap<StreamId, u32>,
     /// Temporary direct-CDN serves installed by the fast view-change path,
     /// released once the background join lands.
     pub temp_leases: VecMap<StreamId, CdnLease>,
-    /// The viewer's data-plane routing table (Table I).
-    pub routing: SessionRoutingTable,
 }
 
 impl ViewerState {
@@ -150,9 +146,7 @@ impl ViewerState {
             status: ViewerStatus::Idle,
             view: None,
             subs: VecMap::new(),
-            out_degrees: VecMap::new(),
             temp_leases: VecMap::new(),
-            routing: SessionRoutingTable::new(),
         }
     }
 
@@ -517,7 +511,6 @@ mod tests {
         assert_eq!(v.stream_count(), 0);
         assert_eq!(v.max_layer(), None);
         assert!(!v.uses_cdn());
-        assert!(v.routing.is_empty());
     }
 
     #[test]

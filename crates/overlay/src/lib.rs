@@ -14,8 +14,10 @@
 //!   "so that the popular view creates enough resources (or seeds) … and
 //!   does not get interfered by the non-popular views",
 //! * [`SessionRoutingTable`] — the viewer data plane of Table I: match
-//!   field (parent, stream) → forwarding addresses, actions, and
-//!   subscription points.
+//!   field (parent, stream) → forwarding addresses and subscription
+//!   points. It is a derived view: a session builds it on demand from
+//!   the subscriptions that name the viewer as their parent, and stores
+//!   no copy.
 //!
 //! # The per-view tree model and prune/merge
 //!
@@ -69,5 +71,5 @@ mod routing;
 mod tree;
 
 pub use group::{GroupTable, ViewGroup};
-pub use routing::{ForwardAction, RouteEntry, SessionRoutingTable, SubscriptionPoint};
+pub use routing::{RouteEntry, SessionRoutingTable, SubscriptionPoint};
 pub use tree::{StreamTree, TreeMetrics, TreeParent};

@@ -2,30 +2,20 @@
 //!
 //! Each viewer's data plane holds one entry per *forwarded* stream. The
 //! match field is `(parent, stream)`; a matching inbound frame is fanned
-//! out to the forwarding addresses, each with its own action and
-//! subscription point (the position in the local buffer/cache from which
-//! that child is fed).
+//! out to the forwarding addresses, each fed from its own subscription
+//! point (the position in the local buffer/cache from which that child
+//! is fed). Every forward is the paper's plain `forward` action.
+//!
+//! The table is a derived view, not stored state: a child's
+//! subscription names its parent, so a session builds a viewer's table
+//! on demand from its children's subscriptions, and the table cannot
+//! drift from the tree as parents change under churn.
 
 use telecast_sim::FxHashMap;
 
 use serde::{Deserialize, Serialize};
 use telecast_media::{FrameNumber, StreamId};
 use telecast_net::NodeId;
-
-/// Per-forwarding-address action. The paper fixes `forward` today and
-/// reserves the others for future extensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum ForwardAction {
-    /// Relay frames unchanged.
-    #[default]
-    Forward,
-    /// Receive but do not relay.
-    Drop,
-    /// Re-encode before relaying (reserved).
-    Encode,
-    /// Apply rate control before relaying (reserved).
-    RateControl,
-}
 
 /// Where in the parent's buffer/cache a child is fed from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -41,26 +31,25 @@ pub enum SubscriptionPoint {
 /// One routing table entry: the fan-out of a `(parent, stream)` match.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct RouteEntry {
-    forwards: Vec<(NodeId, ForwardAction, SubscriptionPoint)>,
+    forwards: Vec<(NodeId, SubscriptionPoint)>,
 }
 
 impl RouteEntry {
-    /// The forwarding addresses with their actions and subscription
-    /// points.
-    pub fn forwards(&self) -> &[(NodeId, ForwardAction, SubscriptionPoint)] {
+    /// The forwarding addresses with their subscription points.
+    pub fn forwards(&self) -> &[(NodeId, SubscriptionPoint)] {
         &self.forwards
     }
 
-    /// Children currently being forwarded to (regardless of action).
+    /// Children currently being forwarded to.
     pub fn children(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.forwards.iter().map(|&(c, _, _)| c)
+        self.forwards.iter().map(|&(c, _)| c)
     }
 }
 
 /// A viewer's session routing table.
 ///
 /// ```
-/// use telecast_overlay::{SessionRoutingTable, SubscriptionPoint, ForwardAction};
+/// use telecast_overlay::{SessionRoutingTable, SubscriptionPoint};
 /// use telecast_media::{FrameNumber, SiteId, StreamId};
 /// use telecast_net::{NodeKind, NodeRegistry, Region};
 ///
@@ -100,8 +89,8 @@ impl SessionRoutingTable {
         self.entries.get(&(stream, parent))
     }
 
-    /// Registers a forwarding address for `(stream, parent)` with the
-    /// default [`ForwardAction::Forward`].
+    /// Registers a forwarding address for `(stream, parent)`. Re-adding
+    /// an existing child updates its subscription point.
     pub fn add_forward(
         &mut self,
         stream: StreamId,
@@ -109,94 +98,12 @@ impl SessionRoutingTable {
         child: NodeId,
         subscription: SubscriptionPoint,
     ) {
-        self.add_forward_with_action(stream, parent, child, ForwardAction::Forward, subscription);
-    }
-
-    /// Registers a forwarding address with an explicit action. Re-adding
-    /// an existing child updates its action and subscription point.
-    pub fn add_forward_with_action(
-        &mut self,
-        stream: StreamId,
-        parent: NodeId,
-        child: NodeId,
-        action: ForwardAction,
-        subscription: SubscriptionPoint,
-    ) {
         let entry = self.entries.entry((stream, parent)).or_default();
-        if let Some(slot) = entry.forwards.iter_mut().find(|(c, _, _)| *c == child) {
-            slot.1 = action;
-            slot.2 = subscription;
+        if let Some(slot) = entry.forwards.iter_mut().find(|(c, _)| *c == child) {
+            slot.1 = subscription;
         } else {
-            entry.forwards.push((child, action, subscription));
+            entry.forwards.push((child, subscription));
         }
-    }
-
-    /// Updates the subscription point of an existing forward (the
-    /// Subscription-Update message of Fig. 6).
-    ///
-    /// Returns `false` if no such forward exists.
-    pub fn update_subscription(
-        &mut self,
-        stream: StreamId,
-        parent: NodeId,
-        child: NodeId,
-        subscription: SubscriptionPoint,
-    ) -> bool {
-        if let Some(entry) = self.entries.get_mut(&(stream, parent)) {
-            if let Some(slot) = entry.forwards.iter_mut().find(|(c, _, _)| *c == child) {
-                slot.2 = subscription;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Removes a forwarding address; drops the entry when its fan-out
-    /// empties. Returns `false` if the forward did not exist.
-    pub fn remove_forward(&mut self, stream: StreamId, parent: NodeId, child: NodeId) -> bool {
-        if let Some(entry) = self.entries.get_mut(&(stream, parent)) {
-            let before = entry.forwards.len();
-            entry.forwards.retain(|(c, _, _)| *c != child);
-            let removed = entry.forwards.len() < before;
-            if entry.forwards.is_empty() {
-                self.entries.remove(&(stream, parent));
-            }
-            return removed;
-        }
-        false
-    }
-
-    /// Removes the forward of `stream` to `child` under whichever
-    /// upstream its entry matches — the child's Subscription-Stop, which
-    /// names no upstream: an entry keeps the upstream it had when the
-    /// child subscribed. Drops entries whose fan-out empties. Returns
-    /// the number of forwards removed.
-    pub fn remove_child(&mut self, stream: StreamId, child: NodeId) -> usize {
-        let mut removed = 0;
-        self.entries.retain(|&(s, _), entry| {
-            if s == stream {
-                let before = entry.forwards.len();
-                entry.forwards.retain(|&(c, _, _)| c != child);
-                removed += before - entry.forwards.len();
-            }
-            !entry.forwards.is_empty()
-        });
-        removed
-    }
-
-    /// Removes every entry of `stream` (used on view change / stream
-    /// drop). Returns the number of entries removed.
-    pub fn remove_stream(&mut self, stream: StreamId) -> usize {
-        let keys: Vec<_> = self
-            .entries
-            .keys()
-            .filter(|(s, _)| *s == stream)
-            .copied()
-            .collect();
-        for k in &keys {
-            self.entries.remove(k);
-        }
-        keys.len()
     }
 
     /// Iterates over all entries.
@@ -248,71 +155,16 @@ mod tests {
         let (stream, parent, children) = setup();
         let mut table = SessionRoutingTable::new();
         table.add_forward(stream, parent, children[0], SubscriptionPoint::Live);
-        table.add_forward_with_action(
+        table.add_forward(
             stream,
             parent,
             children[0],
-            ForwardAction::Drop,
             SubscriptionPoint::Frame(FrameNumber::new(42)),
         );
         let entry = table.matching(stream, parent).unwrap();
-        assert_eq!(entry.forwards().len(), 1);
-        assert_eq!(entry.forwards()[0].1, ForwardAction::Drop);
         assert_eq!(
-            entry.forwards()[0].2,
-            SubscriptionPoint::Frame(FrameNumber::new(42))
+            entry.forwards(),
+            [(children[0], SubscriptionPoint::Frame(FrameNumber::new(42)))]
         );
-    }
-
-    #[test]
-    fn subscription_update_protocol() {
-        let (stream, parent, children) = setup();
-        let mut table = SessionRoutingTable::new();
-        table.add_forward(stream, parent, children[0], SubscriptionPoint::Live);
-        assert!(table.update_subscription(
-            stream,
-            parent,
-            children[0],
-            SubscriptionPoint::Frame(FrameNumber::new(7))
-        ));
-        assert!(!table.update_subscription(stream, parent, children[1], SubscriptionPoint::Live));
-    }
-
-    #[test]
-    fn remove_forward_clears_empty_entries() {
-        let (stream, parent, children) = setup();
-        let mut table = SessionRoutingTable::new();
-        table.add_forward(stream, parent, children[0], SubscriptionPoint::Live);
-        assert!(table.remove_forward(stream, parent, children[0]));
-        assert!(table.is_empty());
-        assert!(!table.remove_forward(stream, parent, children[0]));
-    }
-
-    #[test]
-    fn remove_child_finds_the_forward_under_any_upstream() {
-        let (stream, parent, children) = setup();
-        let mut table = SessionRoutingTable::new();
-        let other = StreamId::new(SiteId::new(0), 1);
-        table.add_forward(stream, parent, children[0], SubscriptionPoint::Live);
-        table.add_forward(stream, parent, children[1], SubscriptionPoint::Live);
-        table.add_forward(stream, children[2], children[0], SubscriptionPoint::Live);
-        table.add_forward(other, parent, children[0], SubscriptionPoint::Live);
-        assert_eq!(table.remove_child(stream, children[0]), 2);
-        // The emptied entry is gone; the other child and stream stay.
-        assert!(table.matching(stream, children[2]).is_none());
-        let kept: Vec<NodeId> = table.matching(stream, parent).unwrap().children().collect();
-        assert_eq!(kept, [children[1]]);
-        assert!(table.matching(other, parent).is_some());
-        assert_eq!(table.remove_child(stream, children[0]), 0);
-    }
-
-    #[test]
-    fn remove_stream_clears_all_parents() {
-        let (stream, parent, children) = setup();
-        let mut table = SessionRoutingTable::new();
-        table.add_forward(stream, parent, children[0], SubscriptionPoint::Live);
-        table.add_forward(stream, children[1], children[2], SubscriptionPoint::Live);
-        assert_eq!(table.remove_stream(stream), 2);
-        assert!(table.is_empty());
     }
 }

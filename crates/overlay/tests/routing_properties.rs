@@ -1,6 +1,7 @@
 //! Property tests of the session routing table: it behaves as a map from
-//! (stream, parent) to a duplicate-free fan-out under arbitrary add /
-//! update / remove sequences.
+//! (stream, parent) to a duplicate-free fan-out under arbitrary add
+//! sequences, and re-adding a child updates its subscription point in
+//! place.
 
 use proptest::prelude::*;
 use telecast_media::{FrameNumber, SiteId, StreamId};
@@ -8,54 +9,22 @@ use telecast_net::{NodeId, NodeKind, NodeRegistry, Region};
 use telecast_overlay::{SessionRoutingTable, SubscriptionPoint};
 
 #[derive(Debug, Clone)]
-enum Op {
-    Add {
-        stream: u16,
-        parent: u8,
-        child: u8,
-        frame: Option<u64>,
-    },
-    Update {
-        stream: u16,
-        parent: u8,
-        child: u8,
-        frame: u64,
-    },
-    Remove {
-        stream: u16,
-        parent: u8,
-        child: u8,
-    },
-    RemoveStream {
-        stream: u16,
-    },
+struct Add {
+    stream: u16,
+    parent: u8,
+    child: u8,
+    frame: Option<u64>,
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u16..4, 0u8..6, 0u8..6, proptest::option::of(0u64..1000)).prop_map(
-            |(stream, parent, child, frame)| Op::Add {
-                stream,
-                parent,
-                child,
-                frame
-            }
-        ),
-        (0u16..4, 0u8..6, 0u8..6, 0u64..1000).prop_map(|(stream, parent, child, frame)| {
-            Op::Update {
-                stream,
-                parent,
-                child,
-                frame,
-            }
-        }),
-        (0u16..4, 0u8..6, 0u8..6).prop_map(|(stream, parent, child)| Op::Remove {
+fn arb_add() -> impl Strategy<Value = Add> {
+    (0u16..4, 0u8..6, 0u8..6, proptest::option::of(0u64..1000)).prop_map(
+        |(stream, parent, child, frame)| Add {
             stream,
             parent,
-            child
-        }),
-        (0u16..4).prop_map(|stream| Op::RemoveStream { stream }),
-    ]
+            child,
+            frame,
+        },
+    )
 }
 
 fn nodes() -> Vec<NodeId> {
@@ -70,77 +39,31 @@ fn sid(stream: u16) -> StreamId {
 }
 
 proptest! {
-    /// The table agrees with a reference model (map of sets) after any
-    /// operation sequence, and fan-outs never contain duplicates.
+    /// The table agrees with a reference model (map of maps) after any
+    /// add sequence, and fan-outs never contain duplicates.
     #[test]
-    fn routing_table_matches_reference_model(ops in proptest::collection::vec(arb_op(), 0..200)) {
+    fn routing_table_matches_reference_model(adds in proptest::collection::vec(arb_add(), 0..200)) {
         let ids = nodes();
         let mut table = SessionRoutingTable::new();
         let mut model: std::collections::BTreeMap<(StreamId, NodeId),
             std::collections::BTreeMap<NodeId, SubscriptionPoint>> = Default::default();
-        for op in ops {
-            match op {
-                Op::Add { stream, parent, child, frame } => {
-                    let point = match frame {
-                        Some(n) => SubscriptionPoint::Frame(FrameNumber::new(n)),
-                        None => SubscriptionPoint::Live,
-                    };
-                    table.add_forward(sid(stream), ids[parent as usize], ids[child as usize], point);
-                    model
-                        .entry((sid(stream), ids[parent as usize]))
-                        .or_default()
-                        .insert(ids[child as usize], point);
-                }
-                Op::Update { stream, parent, child, frame } => {
-                    let point = SubscriptionPoint::Frame(FrameNumber::new(frame));
-                    let updated = table.update_subscription(
-                        sid(stream), ids[parent as usize], ids[child as usize], point);
-                    let exists = model
-                        .get(&(sid(stream), ids[parent as usize]))
-                        .map(|m| m.contains_key(&ids[child as usize]))
-                        .unwrap_or(false);
-                    prop_assert_eq!(updated, exists);
-                    if exists {
-                        model
-                            .get_mut(&(sid(stream), ids[parent as usize]))
-                            .expect("checked")
-                            .insert(ids[child as usize], point);
-                    }
-                }
-                Op::Remove { stream, parent, child } => {
-                    let removed = table.remove_forward(
-                        sid(stream), ids[parent as usize], ids[child as usize]);
-                    let key = (sid(stream), ids[parent as usize]);
-                    let existed = model
-                        .get_mut(&key)
-                        .map(|m| m.remove(&ids[child as usize]).is_some())
-                        .unwrap_or(false);
-                    if model.get(&key).map(|m| m.is_empty()).unwrap_or(false) {
-                        model.remove(&key);
-                    }
-                    prop_assert_eq!(removed, existed);
-                }
-                Op::RemoveStream { stream } => {
-                    let removed = table.remove_stream(sid(stream));
-                    let keys: Vec<_> = model
-                        .keys()
-                        .filter(|(s, _)| *s == sid(stream))
-                        .copied()
-                        .collect();
-                    prop_assert_eq!(removed, keys.len());
-                    for k in keys {
-                        model.remove(&k);
-                    }
-                }
-            }
+        for Add { stream, parent, child, frame } in adds {
+            let point = match frame {
+                Some(n) => SubscriptionPoint::Frame(FrameNumber::new(n)),
+                None => SubscriptionPoint::Live,
+            };
+            table.add_forward(sid(stream), ids[parent as usize], ids[child as usize], point);
+            model
+                .entry((sid(stream), ids[parent as usize]))
+                .or_default()
+                .insert(ids[child as usize], point);
             // Full-state comparison.
             prop_assert_eq!(table.len(), model.len());
             for (key, fanout) in &model {
                 let entry = table.matching(key.0, key.1).expect("model says present");
                 prop_assert_eq!(entry.forwards().len(), fanout.len(), "duplicate fan-out");
-                for (child, action, point) in entry.forwards() {
+                for (child, point) in entry.forwards() {
                     prop_assert_eq!(fanout.get(child), Some(point));
-                    let _ = action;
                 }
             }
         }

@@ -1,11 +1,16 @@
 //! End-to-end integration: producer traces → CDN ingest → overlay
 //! placement → viewer buffers → synchronous rendering, across crates.
 
+use std::collections::BTreeMap;
+
 use telecast::{SessionConfig, TelecastSession, ViewerBuffer, ViewerStatus};
-use telecast_cdn::Distribution;
-use telecast_media::{ProducerSite, SyntheticTeeveTrace, TeeveStreamConfig, ViewCatalog, ViewId};
-use telecast_net::BandwidthProfile;
-use telecast_overlay::TreeParent;
+use telecast_baselines::random_dissemination;
+use telecast_cdn::{CdnConfig, Distribution};
+use telecast_media::{
+    ChurnSpec, ProducerSite, SiteId, SyntheticTeeveTrace, TeeveStreamConfig, ViewCatalog, ViewId,
+};
+use telecast_net::{Bandwidth, BandwidthProfile, NodeId};
+use telecast_overlay::{SessionRoutingTable, SubscriptionPoint, TreeParent};
 use telecast_sim::{SimDuration, SimTime};
 
 #[test]
@@ -118,9 +123,9 @@ fn routing_tables_reflect_tree_children() {
         let state = session.viewer(v).unwrap();
         for (&sid, sub) in &state.subs {
             if let TreeParent::Viewer(p) = sub.parent {
-                let parent = session.viewer(p).unwrap();
-                let has_entry = parent
-                    .routing
+                let has_entry = session
+                    .routing_table(p)
+                    .unwrap()
                     .iter()
                     .any(|((s, _), entry)| *s == sid && entry.children().any(|c| c == v));
                 assert!(has_entry, "routing table of {p} misses child {v} for {sid}");
@@ -146,10 +151,14 @@ fn departed_viewers_leave_no_forward_behind() {
     session.run_to_idle();
     let forwards_to = |session: &TelecastSession, child| -> usize {
         ids.iter()
-            .map(|&p| session.viewer(p).unwrap())
-            .flat_map(|parent| parent.routing.iter())
-            .filter(|(_, entry)| entry.children().any(|c| c == child))
-            .count()
+            .map(|&p| session.routing_table(p).unwrap())
+            .map(|table| {
+                table
+                    .iter()
+                    .filter(|(_, entry)| entry.children().any(|c| c == child))
+                    .count()
+            })
+            .sum()
     };
     let (departing, failing): (Vec<_>, Vec<_>) = ids
         .iter()
@@ -175,8 +184,129 @@ fn departed_viewers_leave_no_forward_behind() {
             0,
             "a parent still forwards to {v}"
         );
-        assert!(session.viewer(v).unwrap().routing.is_empty());
+        assert!(session.routing_table(v).unwrap().is_empty());
     }
+}
+
+/// Checks Table I against the subscriptions both ways and returns the
+/// number of forwards: a viewer `p` forwards only streams it receives,
+/// matched on its own upstream, and every forward in its table goes to a
+/// connected viewer whose subscription to that stream names `p` as its
+/// parent, fed from an Eq. 2 frame exactly when that subscription was
+/// pushed down, and every such subscription has its forward.
+fn assert_routing_matches_subscriptions(session: &TelecastSession) -> usize {
+    let ids = session.viewer_ids();
+    let tables: BTreeMap<NodeId, SessionRoutingTable> = ids
+        .iter()
+        .map(|&p| (p, session.routing_table(p).expect("pool viewer")))
+        .collect();
+    let mut forwards = 0usize;
+    for (&p, table) in &tables {
+        let parent = session.viewer(p).unwrap();
+        for (&(sid, upstream), entry) in table.iter() {
+            let own = parent
+                .subs
+                .get(&sid)
+                .unwrap_or_else(|| panic!("{p} forwards {sid} without receiving it"));
+            if let TreeParent::Viewer(g) = own.parent {
+                assert_eq!(
+                    upstream, g,
+                    "{p}'s entry for {sid} matches the wrong upstream"
+                );
+            }
+            for &(c, point) in entry.forwards() {
+                let child = session.viewer(c).expect("forwards go to pool viewers");
+                assert_eq!(
+                    child.status,
+                    ViewerStatus::Connected,
+                    "{p} forwards {sid} to {c}, which is not connected"
+                );
+                let sub = child
+                    .subs
+                    .get(&sid)
+                    .unwrap_or_else(|| panic!("{p} forwards {sid} to {c}, which does not take it"));
+                assert_eq!(
+                    sub.parent,
+                    TreeParent::Viewer(p),
+                    "{p} forwards {sid} to {c}, which another parent feeds"
+                );
+                assert_eq!(
+                    matches!(point, SubscriptionPoint::Frame(_)),
+                    sub.pushed_down,
+                    "{c}'s subscription point on {sid}"
+                );
+                forwards += 1;
+            }
+        }
+    }
+    let mut edges = 0usize;
+    for &c in ids {
+        let child = session.viewer(c).unwrap();
+        if child.status != ViewerStatus::Connected {
+            continue;
+        }
+        for (&sid, sub) in &child.subs {
+            if let TreeParent::Viewer(p) = sub.parent {
+                let forwarded = tables[&p]
+                    .iter()
+                    .any(|(&(s, _), entry)| s == sid && entry.children().any(|x| x == c));
+                assert!(forwarded, "{p} feeds {c} on {sid} without a forward");
+                edges += 1;
+            }
+        }
+    }
+    assert_eq!(forwards, edges, "one forward per viewer-parent edge");
+    forwards
+}
+
+/// Table I stays in step with the tree through churn: displacement,
+/// victim repositioning, the §VI reroute and stream drops all move a
+/// subscription's parent, and departures end it.
+#[test]
+fn routing_tables_follow_the_subscriptions_through_churn() {
+    let n = 400;
+    let config = SessionConfig {
+        sites: vec![
+            ProducerSite::ring(SiteId::new(0), 6, 2_000, 10),
+            ProducerSite::ring(SiteId::new(1), 6, 2_000, 10),
+        ],
+        streams_per_local_view: 3,
+        adaptation_period: Some(SimDuration::from_secs(60)),
+        ..SessionConfig::default()
+    }
+    .with_outbound(BandwidthProfile::uniform_mbps(2, 14))
+    .with_cdn(CdnConfig::default().with_outbound(Bandwidth::from_mbps(4 * n as u64)))
+    .with_seed(11);
+    let mut session = TelecastSession::builder(config).viewers(n).build();
+    let horizon = SimTime::from_secs(30 * 60);
+    session.start_churn(ChurnSpec::steady_state(2 * n / 3, 0.1), horizon, n / 2);
+    session.run_until(horizon);
+    assert!(
+        session.metrics().victims.value() > 0,
+        "churn displaced members"
+    );
+    let forwards = assert_routing_matches_subscriptions(&session);
+    assert!(
+        forwards > 100,
+        "P2P forwarding carries the audience: {forwards}"
+    );
+}
+
+/// The Random baseline's global trees feed Table I the same way.
+#[test]
+fn random_placement_routing_tables_match_the_subscriptions() {
+    let config = random_dissemination(
+        SessionConfig::default()
+            .with_outbound(BandwidthProfile::uniform_mbps(2, 12))
+            .with_seed(23),
+    );
+    let n = 120;
+    let mut session = TelecastSession::builder(config).viewers(n).build();
+    let horizon = SimTime::from_secs(10 * 60);
+    session.start_churn(ChurnSpec::steady_state(2 * n / 3, 0.2), horizon, n / 2);
+    session.run_until(horizon);
+    let forwards = assert_routing_matches_subscriptions(&session);
+    assert!(forwards > 0, "random placement forwards over P2P");
 }
 
 #[test]
