@@ -14,8 +14,8 @@
 //!   [`Autoscaler::tick`], scores its due forecasts, feeds its demand
 //!   EWMAs and evaluates the policy against the pool, emitting
 //!   [`ScaleDecision`]s which the owner applies with
-//!   [`crate::Cdn::apply_scale`]. [`Autoscaler::per_slot`] builds one
-//!   controller per pool slot.
+//!   [`crate::Cdn::apply_scale_slot`]. [`Autoscaler::per_slot`] builds
+//!   one controller per pool slot.
 //!
 //! The controller is deliberately deterministic and side-effect free —
 //! decisions are pure functions of `(policy, pool state, last action

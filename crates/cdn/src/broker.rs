@@ -5,10 +5,9 @@
 //! pool. Production scale means hundreds of concurrent broadcasts
 //! sharing regional capacity, so this module lifts CDN ownership out of
 //! the session: a [`CapacityBroker`] owns the [`Cdn`] (its per-region
-//! `CapacityAccount`s, provisioned meters and edge fleets) and each
-//! tenant session holds only a [`TenantHandle`] — a cloneable,
-//! internally-locked view that mirrors the `Cdn` API the session used
-//! to call directly.
+//! `CapacityAccount`s and provisioned meters) and the one lease ledger,
+//! and each tenant session holds only a [`TenantHandle`] — a cloneable,
+//! internally-locked view of its share.
 //!
 //! Each tenant carries a [`TenantQuota`]: a guaranteed **floor** and a
 //! burstable **ceiling**, both expressed as a percentage of each
@@ -22,9 +21,9 @@
 //!    is set aside.
 //!
 //! A single tenant with [`TenantQuota::FULL`] reduces every check to
-//! the plain `CapacityAccount::can_reserve` the session used before the
-//! broker existed — including the [`CdnRejectedError`] fields — so the
-//! legacy single-broadcast artifacts replay byte-identically.
+//! the plain `CapacityAccount::reserve` of its region's pool slot —
+//! including the [`CdnRejectedError`] fields — so the single-broadcast
+//! artifacts replay byte-identically.
 //!
 //! When several tenants' parked joins contend for the same freed
 //! capacity, [`CapacityBroker::arbitrate_retry`] splits the headroom by
@@ -36,13 +35,13 @@
 //! starved this round is first in line for the next one.
 
 use std::fmt;
+use std::num::NonZeroU64;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use telecast_media::StreamId;
 use telecast_net::{Bandwidth, CapacityAccount, Region};
-use telecast_sim::{FxHashMap, SimDuration, SimTime};
+use telecast_sim::{FxHashMap, SimTime};
 
-use crate::{Cdn, CdnConfig, CdnLease, CdnRejectedError, ProvisionedMeter};
+use crate::{Cdn, CdnConfig, CdnLease, CdnRejectedError};
 
 /// Bandwidth credited per quota-weight point per arbitration round
 /// (1 Mbps). Small enough that an 8-tenant split of a regional pool
@@ -151,15 +150,18 @@ struct TenantState {
 }
 
 /// Owns the CDN on behalf of many tenant broadcasts: per-region pools,
-/// meters and edge fleets live here; sessions hold [`TenantHandle`]s.
+/// meters and the lease ledger live here; sessions hold
+/// [`TenantHandle`]s.
 #[derive(Debug)]
 pub struct CapacityBroker {
     cdn: Cdn,
     tenants: Vec<TenantState>,
     /// Which tenant holds each live lease (and in which slot, at what
-    /// rate) — the map that routes releases back to the right quota
-    /// account, including leases released by a foreign shard.
+    /// rate) — the map that routes releases back to the right pool slot
+    /// and quota account, including leases released by a foreign shard.
     lease_owner: FxHashMap<CdnLease, (usize, usize, Bandwidth)>,
+    /// The id of the next admitted lease.
+    next_lease: NonZeroU64,
     /// Virtual time up to which tenant usage integrals have accrued.
     usage_accrued_to: SimTime,
 }
@@ -171,6 +173,7 @@ impl CapacityBroker {
             cdn: Cdn::new(config),
             tenants: Vec::new(),
             lease_owner: FxHashMap::default(),
+            next_lease: NonZeroU64::MIN,
             usage_accrued_to: SimTime::ZERO,
         }
     }
@@ -181,9 +184,10 @@ impl CapacityBroker {
         Arc::new(Mutex::new(CapacityBroker::new(config)))
     }
 
-    /// The legacy path: one tenant owning the whole pool. Returns a
-    /// handle over every slot with [`TenantQuota::FULL`]; every
-    /// admission decision and error matches a bare [`Cdn`] exactly.
+    /// The single-broadcast path: one tenant owning the whole pool.
+    /// Returns a handle over every slot with [`TenantQuota::FULL`];
+    /// every admission decision and error matches the bare pool slots
+    /// exactly.
     pub fn single(config: CdnConfig) -> TenantHandle {
         let broker = CapacityBroker::shared(config);
         let tenant = broker
@@ -254,7 +258,7 @@ impl CapacityBroker {
         self.tenants[tenant.index()].quota
     }
 
-    /// Read access to the owned CDN (pools, meters, edges).
+    /// Read access to the owned CDN (pools, meters).
     pub fn cdn(&self) -> &Cdn {
         &self.cdn
     }
@@ -331,7 +335,6 @@ impl CapacityBroker {
     pub fn serve(
         &mut self,
         tenant: TenantId,
-        stream: StreamId,
         bw: Bandwidth,
         region: Region,
     ) -> Result<CdnLease, CdnRejectedError> {
@@ -343,8 +346,13 @@ impl CapacityBroker {
                 available: Bandwidth::from_kbps(admissible),
             });
         }
-        let lease = self.cdn.serve(stream, bw, region)?;
+        self.cdn
+            .pool_mut(slot)
+            .reserve(bw)
+            .expect("tenant headroom never exceeds the pool's");
         self.tenants[tenant.index()].used_kbps[slot] += bw.as_kbps();
+        let lease = CdnLease(self.next_lease);
+        self.next_lease = self.next_lease.checked_add(1).expect("lease ids exhausted");
         self.lease_owner.insert(lease, (tenant.index(), slot, bw));
         Ok(lease)
     }
@@ -360,8 +368,8 @@ impl CapacityBroker {
         let (tenant, slot, bw) = self
             .lease_owner
             .remove(&lease)
-            .expect("release of unknown or already-released broker lease");
-        self.cdn.release(lease);
+            .expect("release of unknown or already-released CDN lease");
+        self.cdn.pool_mut(slot).release(bw);
         self.tenants[tenant].used_kbps[slot] -= bw.as_kbps();
     }
 
@@ -461,11 +469,9 @@ impl CapacityBroker {
     }
 }
 
-/// A tenant session's view of the shared broker: mirrors the [`Cdn`]
-/// API (`serve`, `release`, `pool`, `outbound`, scaling and metering
-/// accessors) so `TelecastSession` calls it exactly where it used to
-/// call its own `Cdn`, while every operation is admission-checked
-/// against the tenant's quota.
+/// A tenant session's view of the shared broker: `serve`, `release`,
+/// the pool slots it sees, scaling and the provisioned bill, with every
+/// admission checked against the tenant's quota.
 ///
 /// A handle may also *window* the broker's slots (`slot_base` /
 /// `slot_count`): a per-region shard of a sharded session sees only its
@@ -514,11 +520,6 @@ impl TenantHandle {
 
     fn lock(&self) -> MutexGuard<'_, CapacityBroker> {
         self.broker.lock().expect("capacity broker lock poisoned")
-    }
-
-    /// The shared broker behind this handle.
-    pub fn broker(&self) -> Arc<Mutex<CapacityBroker>> {
-        Arc::clone(&self.broker)
     }
 
     /// This handle's tenant.
@@ -597,13 +598,8 @@ impl TenantHandle {
     ///
     /// Returns [`CdnRejectedError`] when the tenant's quota-constrained
     /// headroom in the region's pool is insufficient.
-    pub fn serve(
-        &self,
-        stream: StreamId,
-        bw: Bandwidth,
-        region: Region,
-    ) -> Result<CdnLease, CdnRejectedError> {
-        self.lock().serve(self.tenant, stream, bw, region)
+    pub fn serve(&self, bw: Bandwidth, region: Region) -> Result<CdnLease, CdnRejectedError> {
+        self.lock().serve(self.tenant, bw, region)
     }
 
     /// Releases a lease (see [`CapacityBroker::release`]).
@@ -625,16 +621,6 @@ impl TenantHandle {
             .apply_scale_slot(self.slot_base + slot, new_total, now)
     }
 
-    /// The provisioned meter of the first visible slot, by value.
-    pub fn provisioned_meter(&self) -> ProvisionedMeter {
-        *self.lock().cdn.provisioned_meter_of(self.slot_base)
-    }
-
-    /// The provisioned meter of one visible slot, by value.
-    pub fn provisioned_meter_of(&self, slot: usize) -> ProvisionedMeter {
-        *self.lock().cdn.provisioned_meter_of(self.slot_base + slot)
-    }
-
     /// Provisioned Mbps-hours up to `now`, summed over visible slots.
     pub fn provisioned_mbps_hours_at(&self, now: SimTime) -> f64 {
         let broker = self.lock();
@@ -650,33 +636,12 @@ impl TenantHandle {
             .map(|s| broker.cdn.provisioned_meter_of(s).dollars_at(now))
             .sum()
     }
-
-    /// This tenant's usage integral in Mbps-hours (see
-    /// [`CapacityBroker::accrue_usage`]).
-    pub fn served_mbps_hours(&self) -> f64 {
-        self.lock().served_mbps_hours(self.tenant)
-    }
-
-    /// The producer→viewer delivery delay `Δ`.
-    pub fn delta(&self) -> SimDuration {
-        self.lock().cdn.delta()
-    }
-
-    /// The broker CDN's configuration, by value.
-    pub fn config(&self) -> CdnConfig {
-        *self.lock().cdn.config()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PoolScope;
-    use telecast_media::SiteId;
-
-    fn stream(camera: u16) -> StreamId {
-        StreamId::new(SiteId::new(0), camera)
-    }
+    use crate::{split_capacity, PoolScope};
 
     fn per_region_config(mbps: u64) -> CdnConfig {
         CdnConfig::default()
@@ -685,51 +650,81 @@ mod tests {
     }
 
     /// The byte-identity keystone: a lone FULL-quota tenant behaves
-    /// exactly like a bare `Cdn` across serve/reject/release/scale —
-    /// same admissions, same error fields, same pool arithmetic.
+    /// exactly like the raw per-slot pools across serve/reject/release/
+    /// scale — same admissions, same error fields, same pool arithmetic.
     #[test]
     fn single_full_tenant_matches_bare_cdn() {
-        let config = per_region_config(100);
-        let mut bare = Cdn::new(config);
-        let handle = CapacityBroker::single(config);
+        for scope in [PoolScope::Global, PoolScope::PerRegion] {
+            let config = per_region_config(100).with_pool_scope(scope);
+            let mut bare: Vec<CapacityAccount> = split_capacity(config.outbound_capacity, scope)
+                .into_iter()
+                .map(CapacityAccount::new)
+                .collect();
+            let handle = CapacityBroker::single(config);
+            assert_eq!(handle.pool_slots(), bare.len());
 
-        let mut bare_leases = Vec::new();
-        let mut broker_leases = Vec::new();
-        // Fill Oceania (5% = 5 Mbps) past the brim, then scale, release,
-        // and refill — the legacy session's life cycle.
-        for i in 0..4u16 {
-            let bw = Bandwidth::from_mbps(2);
-            let a = bare.serve(stream(i), bw, Region::Oceania);
-            let b = handle.serve(stream(i), bw, Region::Oceania);
-            match (a, b) {
-                (Ok(la), Ok(lb)) => {
-                    bare_leases.push(la);
-                    broker_leases.push(lb);
+            // Fill Oceania past the brim (5 Mbps of a per-region split),
+            // then scale, release and refill — a session's life cycle.
+            let slot = handle.slot_of(Region::Oceania);
+            let mut leases = Vec::new();
+            let admit = |bare: &mut [CapacityAccount], leases: &mut Vec<_>, mbps: u64| {
+                let bw = Bandwidth::from_mbps(mbps);
+                match (bare[slot].reserve(bw), handle.serve(bw, Region::Oceania)) {
+                    (Ok(()), Ok(lease)) => leases.push((lease, bw)),
+                    (Err(ea), Err(eb)) => {
+                        assert_eq!(ea.requested, eb.requested);
+                        assert_eq!(ea.available, eb.available);
+                    }
+                    (a, b) => panic!("admission diverged: bare {a:?} vs broker {b:?}"),
                 }
-                (Err(ea), Err(eb)) => {
-                    assert_eq!(ea.requested, eb.requested);
-                    assert_eq!(ea.available, eb.available);
-                }
-                (a, b) => panic!("admission diverged: bare {a:?} vs broker {b:?}"),
+            };
+            for _ in 0..4 {
+                admit(&mut bare, &mut leases, 2);
+            }
+            if scope == PoolScope::PerRegion {
+                assert_eq!(leases.len(), 2, "Oceania's 5 Mbps fits two 2 Mbps serves");
+            }
+
+            let now = SimTime::from_secs(30);
+            for target in [1, 20] {
+                let target = Bandwidth::from_mbps(target);
+                let clamped = target.max(bare[slot].used());
+                bare[slot].resize(clamped);
+                assert_eq!(handle.apply_scale_slot(slot, target, now), clamped);
+                assert_eq!(
+                    bare[slot].can_reserve(Bandwidth::from_mbps(2)),
+                    handle.can_serve_in(Bandwidth::from_mbps(2), Region::Oceania)
+                );
+            }
+
+            let (lease, bw) = leases.pop().unwrap();
+            bare[slot].release(bw);
+            handle.release(lease);
+            for _ in 0..12 {
+                admit(&mut bare, &mut leases, 3);
+            }
+            assert_eq!(handle.active_leases(), leases.len());
+            for (s, account) in bare.iter().enumerate() {
+                assert_eq!(*account, handle.pool(s), "slot {s} diverged");
             }
         }
-        assert_eq!(bare.outbound().used(), handle.outbound().used());
-        assert_eq!(bare.active_leases(), handle.active_leases());
+    }
 
-        let now = SimTime::from_secs(30);
-        let slot = bare.slot_of(Region::Oceania);
-        let a = bare.apply_scale_slot(slot, Bandwidth::from_mbps(20), now);
-        let b = handle.apply_scale_slot(slot, Bandwidth::from_mbps(20), now);
-        assert_eq!(a, b);
-        assert_eq!(
-            bare.can_serve_in(Bandwidth::from_mbps(2), Region::Oceania),
-            handle.can_serve_in(Bandwidth::from_mbps(2), Region::Oceania)
-        );
-
-        bare.release(bare_leases.pop().unwrap());
-        handle.release(broker_leases.pop().unwrap());
-        assert_eq!(bare.outbound().used(), handle.outbound().used());
-        assert_eq!(bare.pool(slot).available(), handle.pool(slot).available());
+    #[test]
+    fn lease_ids_count_admitted_serves_from_one() {
+        let cdn =
+            CapacityBroker::single(CdnConfig::default().with_outbound(Bandwidth::from_mbps(4)));
+        let ids = |leases: &[CdnLease]| leases.iter().map(|l| l.0.get()).collect::<Vec<_>>();
+        let first: Vec<CdnLease> = (0..2)
+            .map(|_| cdn.serve(Bandwidth::from_mbps(2), Region::Asia).unwrap())
+            .collect();
+        assert_eq!(ids(&first), [1, 2]);
+        // A rejection issues no id; a release does not recycle one.
+        cdn.serve(Bandwidth::from_mbps(2), Region::Asia)
+            .unwrap_err();
+        cdn.release(first[0]);
+        let next = cdn.serve(Bandwidth::from_mbps(2), Region::Asia).unwrap();
+        assert_eq!(ids(&[next]), [3]);
     }
 
     #[test]
@@ -738,7 +733,7 @@ mod tests {
         let handle = CapacityBroker::single(CdnConfig::unbounded());
         assert!(handle.can_serve_in(Bandwidth::from_mbps(1_000_000), Region::Asia));
         handle
-            .serve(stream(0), Bandwidth::from_mbps(2), Region::Asia)
+            .serve(Bandwidth::from_mbps(2), Region::Asia)
             .expect("unbounded admits");
     }
 
@@ -760,12 +755,12 @@ mod tests {
         };
         let ha = TenantHandle::new(Arc::clone(&broker), a, true);
         // Europe holds 30% of 1000 = 300 Mbps; A's ceiling is 40% = 120.
-        for i in 0..6u16 {
-            ha.serve(stream(i), Bandwidth::from_mbps(20), Region::Europe)
+        for _ in 0..6 {
+            ha.serve(Bandwidth::from_mbps(20), Region::Europe)
                 .expect("inside ceiling");
         }
         let err = ha
-            .serve(stream(6), Bandwidth::from_mbps(20), Region::Europe)
+            .serve(Bandwidth::from_mbps(20), Region::Europe)
             .unwrap_err();
         assert_eq!(err.available, Bandwidth::ZERO);
         assert!(!ha.can_serve_in(Bandwidth::from_mbps(1), Region::Europe));
@@ -802,13 +797,13 @@ mod tests {
         // Europe pool: 300 Mbps. A's floor is 90, B's floor reserves
         // 150, so the burstable slack is 60: A may take 90 + 60 = 150.
         let err = ha
-            .serve(stream(0), Bandwidth::from_mbps(200), Region::Europe)
+            .serve(Bandwidth::from_mbps(200), Region::Europe)
             .unwrap_err();
         assert_eq!(err.available, Bandwidth::from_mbps(150));
-        ha.serve(stream(0), Bandwidth::from_mbps(150), Region::Europe)
+        ha.serve(Bandwidth::from_mbps(150), Region::Europe)
             .expect("entitlement plus burstable slack");
         // B can still claim its whole floor.
-        hb.serve(stream(1), Bandwidth::from_mbps(150), Region::Europe)
+        hb.serve(Bandwidth::from_mbps(150), Region::Europe)
             .expect("floor is guaranteed");
         assert!(!ha.can_serve_in(Bandwidth::from_mbps(1), Region::Europe));
     }
@@ -825,8 +820,8 @@ mod tests {
         };
         let ha = TenantHandle::new(Arc::clone(&broker), a, true);
         let hb = TenantHandle::new(Arc::clone(&broker), b, true);
-        for i in 0..5u16 {
-            ha.serve(stream(i), Bandwidth::from_mbps(20), Region::Europe)
+        for _ in 0..5 {
+            ha.serve(Bandwidth::from_mbps(20), Region::Europe)
                 .expect("fits");
         }
         assert_eq!(ha.active_leases(), 5);
@@ -859,7 +854,7 @@ mod tests {
         for round in 0..20u16 {
             for (i, h) in handles.iter().enumerate() {
                 let region = Region::ALL[(round as usize + i) % Region::ALL.len()];
-                if let Ok(l) = h.serve(stream(round), Bandwidth::from_mbps(3), region) {
+                if let Ok(l) = h.serve(Bandwidth::from_mbps(3), region) {
                     leases.push((i, l));
                 }
             }
@@ -967,14 +962,14 @@ mod tests {
         let broker = CapacityBroker::shared(per_region_config(1_000));
         let a = broker.lock().unwrap().register(TenantQuota::FULL);
         let ha = TenantHandle::new(Arc::clone(&broker), a, true);
-        ha.serve(stream(0), Bandwidth::from_mbps(100), Region::Europe)
+        ha.serve(Bandwidth::from_mbps(100), Region::Europe)
             .expect("fits");
         broker
             .lock()
             .unwrap()
             .accrue_usage(SimTime::from_secs(1_800));
         // 100 Mbps for half an hour = 50 Mbps-hours.
-        assert!((ha.served_mbps_hours() - 50.0).abs() < 1e-9);
+        assert!((broker.lock().unwrap().served_mbps_hours(a) - 50.0).abs() < 1e-9);
     }
 
     #[test]
@@ -987,7 +982,7 @@ mod tests {
         assert_eq!(eu.slot_of(Region::Oceania), 0);
         assert_eq!(eu.slot_region(0), None);
         assert_eq!(eu.outbound().total(), Bandwidth::from_mbps(300));
-        eu.serve(stream(0), Bandwidth::from_mbps(10), Region::Europe)
+        eu.serve(Bandwidth::from_mbps(10), Region::Europe)
             .expect("fits");
         assert_eq!(eu.pool(0).used(), Bandwidth::from_mbps(10));
         assert_eq!(eu.active_leases(), 1);
@@ -1010,9 +1005,9 @@ mod tests {
         let hb = TenantHandle::new(Arc::clone(&broker), b, true);
         let eu = TenantHandle::window(Arc::clone(&broker), a, Region::Europe.index());
         assert!(ha.used().is_zero());
-        ha.serve(stream(0), Bandwidth::from_mbps(10), Region::Europe)
+        ha.serve(Bandwidth::from_mbps(10), Region::Europe)
             .expect("fits");
-        hb.serve(stream(1), Bandwidth::from_mbps(7), Region::Asia)
+        hb.serve(Bandwidth::from_mbps(7), Region::Asia)
             .expect("fits");
         // Pool usage, like `outbound()`: every tenant's reservations count.
         for handle in [&ha, &hb, &eu] {

@@ -1,78 +1,13 @@
-//! CDN cost accounting: egress transfer pricing and provisioned-capacity
-//! pricing.
+//! CDN cost accounting: provisioned-capacity pricing.
 //!
-//! The paper motivates minimising CDN outbound usage with CloudFront's
-//! 2012 pricing: "the use of 1GB traffic in Amazon CloudFront CDN costs
-//! $0.18". The elastic pool adds a second bill: *provisioned* outbound
-//! capacity is metered in Mbps-hours (the committed-rate model of
-//! dedicated CDN contracts), so over-provisioning shows up in dollars
-//! even when no byte of egress flows.
+//! The elastic pool is billed for the outbound capacity it *provisions*,
+//! metered in Mbps-hours (the committed-rate model of dedicated CDN
+//! contracts), so over-provisioning shows up in dollars even while the
+//! pool sits idle.
 
 use serde::{Deserialize, Serialize};
 use telecast_net::Bandwidth;
 use telecast_sim::SimTime;
-
-/// A per-gigabyte transfer pricing model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CostModel {
-    dollars_per_gb: f64,
-}
-
-impl CostModel {
-    /// Flat price per gigabyte of egress.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the price is negative or not finite.
-    pub fn per_gb(dollars: f64) -> Self {
-        assert!(
-            dollars.is_finite() && dollars >= 0.0,
-            "invalid price: {dollars}"
-        );
-        CostModel {
-            dollars_per_gb: dollars,
-        }
-    }
-
-    /// Amazon CloudFront's 2012 price referenced by the paper.
-    pub fn cloudfront_2012() -> Self {
-        CostModel::per_gb(0.18)
-    }
-
-    /// Cost of transferring `bytes`.
-    pub fn cost_of(&self, bytes: u64) -> f64 {
-        bytes as f64 / 1e9 * self.dollars_per_gb
-    }
-}
-
-/// Accumulates egress bytes and prices them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TrafficMeter {
-    model: CostModel,
-    bytes: u64,
-}
-
-impl TrafficMeter {
-    /// A zeroed meter under the given pricing.
-    pub fn new(model: CostModel) -> Self {
-        TrafficMeter { model, bytes: 0 }
-    }
-
-    /// Records `bytes` of egress.
-    pub fn record(&mut self, bytes: u64) {
-        self.bytes += bytes;
-    }
-
-    /// Total recorded bytes.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Total cost in dollars of the recorded traffic.
-    pub fn dollars(&self) -> f64 {
-        self.model.cost_of(self.bytes)
-    }
-}
 
 /// Meters *provisioned* (not used) outbound capacity over virtual time,
 /// in Mbps-hours, and prices it at a committed-rate tariff.
@@ -109,11 +44,6 @@ impl ProvisionedMeter {
         }
     }
 
-    /// The capacity currently being metered.
-    pub fn current_capacity(&self) -> Bandwidth {
-        self.current
-    }
-
     /// Closes the running segment at `now` and switches the metered rate
     /// to `capacity`. Call this *before* applying a pool resize.
     pub fn accrue(&mut self, now: SimTime, capacity: Bandwidth) {
@@ -143,30 +73,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cloudfront_price_matches_paper() {
-        let model = CostModel::cloudfront_2012();
-        assert!((model.cost_of(1_000_000_000) - 0.18).abs() < 1e-12);
-    }
-
-    #[test]
-    fn meter_accumulates() {
-        let mut meter = TrafficMeter::new(CostModel::per_gb(0.18));
-        meter.record(500_000_000);
-        meter.record(500_000_000);
-        assert_eq!(meter.bytes(), 1_000_000_000);
-        assert!((meter.dollars() - 0.18).abs() < 1e-12);
-    }
-
-    #[test]
     fn zero_price_is_free() {
-        let model = CostModel::per_gb(0.0);
-        assert_eq!(model.cost_of(u64::MAX), 0.0);
+        let meter = ProvisionedMeter::new(0.0, Bandwidth::from_mbps(6_000));
+        assert_eq!(meter.dollars_at(SimTime::from_secs(3_600)), 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "invalid price")]
+    #[should_panic(expected = "invalid tariff")]
     fn negative_price_panics() {
-        CostModel::per_gb(-1.0);
+        ProvisionedMeter::new(-1.0, Bandwidth::ZERO);
     }
 
     #[test]
@@ -177,7 +92,9 @@ mod tests {
         let at = SimTime::from_secs(3_600 + 1_800);
         assert!((meter.mbps_hours_at(at) - 2_000.0).abs() < 1e-9);
         assert!((meter.dollars_at(at) - 60.0).abs() < 1e-9);
-        assert_eq!(meter.current_capacity(), Bandwidth::from_mbps(2_000));
+        // The running segment bills at the new rate.
+        let later = SimTime::from_secs(2 * 3_600);
+        assert!((meter.mbps_hours_at(later) - 3_000.0).abs() < 1e-9);
     }
 
     #[test]

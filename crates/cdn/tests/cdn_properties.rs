@@ -1,16 +1,18 @@
-//! Property tests of the CDN substrate: the outbound pool is conserved
-//! under arbitrary serve/release interleavings and edge-server load
-//! always equals the sum of its live sessions.
+//! Property tests of the CDN substrate: under arbitrary serve/release
+//! interleavings across tenants, every pool slot's usage equals the sum
+//! of its live leases, and the broker's one lease ledger counts exactly
+//! the live leases.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
-use telecast_cdn::{Cdn, CdnConfig, CdnLease};
-use telecast_media::{SiteId, StreamId};
+use telecast_cdn::{CapacityBroker, CdnConfig, CdnLease, PoolScope, TenantHandle, TenantQuota};
 use telecast_net::{Bandwidth, Region};
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Serve {
-        camera: u16,
+        tenant: usize,
         mbps: u64,
         region: usize,
     },
@@ -21,8 +23,8 @@ enum Op {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u16..8, 1u64..6, 0usize..5).prop_map(|(camera, mbps, region)| Op::Serve {
-            camera,
+        (0usize..3, 1u64..6, 0usize..5).prop_map(|(tenant, mbps, region)| Op::Serve {
+            tenant,
             mbps,
             region
         }),
@@ -31,23 +33,38 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 proptest! {
-    /// used = Σ live leases at every step; the pool never over-commits;
-    /// edge loads sum to the pool usage.
+    /// Per slot, used = Σ live leases' bandwidth and never exceeds the
+    /// slot's capacity; the tenants' ledgers hold exactly the live leases.
     #[test]
     fn pool_is_conserved(
         cap_mbps in 1u64..200,
+        per_region in any::<bool>(),
+        tenants in 1u32..4,
         ops in proptest::collection::vec(arb_op(), 0..200),
     ) {
-        let cap = Bandwidth::from_mbps(cap_mbps);
-        let mut cdn = Cdn::new(CdnConfig::default().with_outbound(cap));
-        let mut live: Vec<(CdnLease, Bandwidth)> = Vec::new();
+        let scope = if per_region { PoolScope::PerRegion } else { PoolScope::Global };
+        let config = CdnConfig::default()
+            .with_outbound(Bandwidth::from_mbps(cap_mbps))
+            .with_pool_scope(scope);
+        let broker = CapacityBroker::shared(config);
+        let handles: Vec<TenantHandle> = (0..tenants)
+            .map(|_| {
+                let id = broker.lock().unwrap().register(TenantQuota::even_split(tenants, 2));
+                TenantHandle::new(Arc::clone(&broker), id, false)
+            })
+            .collect();
+        // (tenant, slot, lease, rate) of every live lease.
+        let mut live: Vec<(usize, usize, CdnLease, Bandwidth)> = Vec::new();
         for op in ops {
             match op {
-                Op::Serve { camera, mbps, region } => {
+                Op::Serve { tenant, mbps, region } => {
+                    let handle = &handles[tenant % handles.len()];
                     let bw = Bandwidth::from_mbps(mbps);
-                    let stream = StreamId::new(SiteId::new(0), camera);
-                    match cdn.serve(stream, bw, Region::ALL[region]) {
-                        Ok(lease) => live.push((lease, bw)),
+                    let region = Region::ALL[region];
+                    match handle.serve(bw, region) {
+                        Ok(lease) => {
+                            live.push((tenant % handles.len(), handle.slot_of(region), lease, bw));
+                        }
                         Err(err) => {
                             prop_assert!(err.available < bw, "rejected despite headroom");
                         }
@@ -55,17 +72,27 @@ proptest! {
                 }
                 Op::Release { index } => {
                     if !live.is_empty() {
-                        let (lease, _) = live.swap_remove(index % live.len());
-                        cdn.release(lease);
+                        let (tenant, _, lease, _) = live.swap_remove(index % live.len());
+                        handles[tenant].release(lease);
                     }
                 }
             }
-            let expected: Bandwidth = live.iter().map(|&(_, bw)| bw).sum();
-            prop_assert_eq!(cdn.outbound().used(), expected);
-            prop_assert!(cdn.outbound().used() <= cap);
-            prop_assert_eq!(cdn.active_leases(), live.len());
-            let edge_total: Bandwidth = cdn.edges().iter().map(|e| e.load()).sum();
-            prop_assert_eq!(edge_total, expected);
+            let guard = broker.lock().unwrap();
+            let cdn = guard.cdn();
+            for slot in 0..cdn.pool_slots() {
+                let expected: Bandwidth = live
+                    .iter()
+                    .filter(|l| l.1 == slot)
+                    .map(|l| l.3)
+                    .sum();
+                prop_assert_eq!(cdn.pool(slot).used(), expected);
+                prop_assert!(cdn.pool(slot).used() <= cdn.pool(slot).total());
+                let ledger: usize = handles
+                    .iter()
+                    .map(|h| guard.tenant_leases_in(h.tenant(), slot..slot + 1))
+                    .sum();
+                prop_assert_eq!(ledger, live.iter().filter(|l| l.1 == slot).count());
+            }
         }
     }
 }

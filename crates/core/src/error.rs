@@ -6,31 +6,6 @@ use std::fmt;
 use telecast_media::ViewId;
 use telecast_net::NodeId;
 
-/// Why a viewer's join (or view-change) request was rejected outright.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RejectReason {
-    /// Fewer streams than producer sites could be provisioned — the
-    /// admission constraint `N_accepted ≥ n` failed.
-    SiteCoverage,
-    /// The viewer's inbound capacity could not fit even the mandatory
-    /// per-site top-priority streams.
-    InboundExhausted,
-    /// Neither the P2P layer nor the CDN had outbound capacity for the
-    /// mandatory streams.
-    SupplyExhausted,
-}
-
-impl fmt::Display for RejectReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            RejectReason::SiteCoverage => "not every producer site could be covered",
-            RejectReason::InboundExhausted => "viewer inbound capacity exhausted",
-            RejectReason::SupplyExhausted => "no P2P or CDN supply for mandatory streams",
-        };
-        f.write_str(s)
-    }
-}
-
 /// Errors surfaced by the public session API.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TelecastError {
@@ -63,10 +38,6 @@ mod tests {
 
     #[test]
     fn messages_are_lowercase_and_concise() {
-        assert_eq!(
-            RejectReason::SiteCoverage.to_string(),
-            "not every producer site could be covered"
-        );
         assert!(TelecastError::UnknownView(ViewId::new(3))
             .to_string()
             .contains("v3"));

@@ -60,7 +60,7 @@ mod viewer;
 pub use buffer::ViewerBuffer;
 pub use config::{DelayModelChoice, GroupScope, OutboundPolicy, PlacementStrategy, SessionConfig};
 pub use dataplane::{DataPlane, RenderReport};
-pub use error::{RejectReason, TelecastError};
+pub use error::TelecastError;
 pub use layers::LayerScheme;
 pub use metrics::SessionMetrics;
 pub use monitor::{GscMonitor, StreamMeta};

@@ -228,7 +228,6 @@ enum SessionEvent {
         requested_at: SimTime,
     },
     CompleteJoin {
-        viewer: NodeId,
         requested_at: SimTime,
     },
     ProcessViewChange {
@@ -409,7 +408,6 @@ impl SessionBuilder {
             edge_nodes,
             scopes: (0..scope_count).map(|_| GroupTable::new()).collect(),
             random_trees: FxHashMap::default(),
-            random_receivers: FxHashMap::default(),
             random_edge_parent: FxHashMap::default(),
             viewers,
             viewer_pool,
@@ -481,8 +479,6 @@ pub struct TelecastSession {
     scopes: Vec<GroupTable>,
     /// Global per-stream trees used by the Random baseline (no grouping).
     random_trees: FxHashMap<StreamId, StreamTree>,
-    /// Receivers of each stream (Random baseline candidate index).
-    random_receivers: FxHashMap<StreamId, Vec<NodeId>>,
     /// Per-edge outbound reservations of the Random baseline:
     /// (child, stream) → parent that holds the reservation.
     random_edge_parent: FxHashMap<(NodeId, StreamId), NodeId>,
@@ -828,10 +824,9 @@ impl TelecastSession {
     /// One elastic-CDN control tick: an [`Autoscaler::tick`] per pool
     /// slot on the slot's fresh arrival demand, with each matured
     /// forecast's error sampled into the metrics; then the resulting
-    /// resize (growing or retiring that region's edges, accruing its
-    /// provisioned-capacity meter) and a retry of the joins parked on
-    /// the slot's queue. Re-arms itself while the session stays active,
-    /// like the monitor.
+    /// resize (accruing the slot's provisioned-capacity meter) and a
+    /// retry of the joins parked on the slot's queue. Re-arms itself
+    /// while the session stays active, like the monitor.
     fn autoscale_tick(&mut self) {
         let now = self.engine.now();
         let Some(first) = self.autoscalers.first() else {
@@ -1550,12 +1545,8 @@ impl TelecastSession {
                 view,
                 requested_at,
             } => self.process_join(viewer, view, requested_at, false),
-            SessionEvent::CompleteJoin {
-                viewer,
-                requested_at,
-            } => {
+            SessionEvent::CompleteJoin { requested_at } => {
                 let delay = self.engine.now() - requested_at;
-                let _ = viewer;
                 self.metrics
                     .join_delays_ms
                     .record(delay.as_micros() as f64 / 1_000.0);
@@ -1742,7 +1733,7 @@ impl TelecastSession {
                             Some(lease) => Some(lease),
                             // Displaced node was mid-recovery without
                             // a lease: acquire a fresh one.
-                            None => self.cdn.serve(s.stream, bw, region).ok(),
+                            None => self.cdn.serve(bw, region).ok(),
                         };
                         match lease {
                             Some(lease) => {
@@ -1866,7 +1857,7 @@ impl TelecastSession {
                 let (sid, sub) = subs[offender];
                 let bw = Bandwidth::from_kbps(sub.bitrate_kbps);
                 let rerouted = match sub.parent {
-                    TreeParent::Viewer(_) => match self.cdn.serve(sid, bw, region) {
+                    TreeParent::Viewer(_) => match self.cdn.serve(bw, region) {
                         Ok(lease) => {
                             // Move to the CDN root, keeping any displaced
                             // child attached beneath us.
@@ -1963,11 +1954,6 @@ impl TelecastSession {
         if !matches!(self.config.placement, PlacementStrategy::Random { .. }) {
             self.scopes[scope].join(viewer, view);
         }
-        if matches!(self.config.placement, PlacementStrategy::Random { .. }) {
-            for &sid in &scratch.streams {
-                self.random_receivers.entry(sid).or_default().push(viewer);
-            }
-        }
 
         // Background joins after a view change release the temporary CDN
         // serves now that the overlay carries the view. The map is freed,
@@ -2000,13 +1986,8 @@ impl TelecastSession {
                 }
             }
             completion += slowest_rtt;
-            self.engine.schedule_after(
-                completion,
-                SessionEvent::CompleteJoin {
-                    viewer,
-                    requested_at,
-                },
-            );
+            self.engine
+                .schedule_after(completion, SessionEvent::CompleteJoin { requested_at });
         }
 
         // Subscription chains towards displaced subtrees.
@@ -2105,7 +2086,7 @@ impl TelecastSession {
                     Some((parent, displaced, None))
                 } else {
                     // Fall back to the CDN.
-                    match self.cdn.serve(stream, bw, region) {
+                    match self.cdn.serve(bw, region) {
                         Ok(lease) => {
                             let tree = self.scopes[scope]
                                 .group_mut(view)
@@ -2129,7 +2110,7 @@ impl TelecastSession {
                     tree.attach_under(viewer, out_degree, outbound_capacity, parent);
                     Some((TreeParent::Viewer(parent), None, None))
                 } else {
-                    match self.cdn.serve(stream, bw, region) {
+                    match self.cdn.serve(bw, region) {
                         Ok(lease) => {
                             let tree = self.scopes[scope]
                                 .group_mut(view)
@@ -2196,7 +2177,7 @@ impl TelecastSession {
                     tree.attach_under(viewer, u32::MAX, outbound_capacity, parent);
                     Some((TreeParent::Viewer(parent), None, None))
                 } else {
-                    match self.cdn.serve(stream, bw, region) {
+                    match self.cdn.serve(bw, region) {
                         Ok(lease) => {
                             let tree = self
                                 .random_trees
@@ -2276,7 +2257,7 @@ impl TelecastSession {
         let mut temp_granted = 0usize;
         for s in self.catalog.view(view).streams_by_priority() {
             let bw = Bandwidth::from_kbps(s.bitrate_kbps);
-            if let Ok(lease) = self.cdn.serve(s.stream, bw, region) {
+            if let Ok(lease) = self.cdn.serve(bw, region) {
                 self.viewers
                     .get_mut(&viewer)
                     .expect("viewer exists")
@@ -2340,11 +2321,9 @@ impl TelecastSession {
     // ------------------------------------------------------------------
 
     fn process_depart(&mut self, viewer: NodeId) {
-        let state = match self.viewers.get(&viewer) {
-            Some(v) if v.status == ViewerStatus::Connected => v,
-            _ => return,
-        };
-        let _ = state;
+        if !matches!(self.viewers.get(&viewer), Some(v) if v.status == ViewerStatus::Connected) {
+            return;
+        }
         self.teardown_subscriptions(viewer);
         let v = self.viewers.get_mut(&viewer).expect("viewer exists");
         if v.status == ViewerStatus::Connected {
@@ -2412,11 +2391,6 @@ impl TelecastSession {
                     let bw = self.stream_bw[&sid];
                     if let Some(pv) = self.viewers.get_mut(&p) {
                         pv.ports.outbound.release(bw);
-                    }
-                }
-                if let Some(list) = self.random_receivers.get_mut(&sid) {
-                    if let Some(pos) = list.iter().position(|&n| n == viewer) {
-                        list.swap_remove(pos);
                     }
                 }
             } else if let Some(v) = view {
@@ -2583,7 +2557,7 @@ impl TelecastSession {
                 continue;
             }
             let region = self.viewers[&victim].region;
-            match self.cdn.serve(stream, bw, region) {
+            match self.cdn.serve(bw, region) {
                 Ok(lease) => {
                     if let Some(sub) = self
                         .viewers
@@ -2638,7 +2612,7 @@ impl TelecastSession {
         for victim in victims {
             self.metrics.victims.incr();
             let region = self.viewers[&victim].region;
-            match self.cdn.serve(stream, bw, region) {
+            match self.cdn.serve(bw, region) {
                 Ok(lease) => {
                     if let Some(sub) = self
                         .viewers
@@ -2664,11 +2638,6 @@ impl TelecastSession {
                                 v.ports
                                     .inbound
                                     .release(Bandwidth::from_kbps(sub.bitrate_kbps));
-                            }
-                            if let Some(list) = self.random_receivers.get_mut(&stream) {
-                                if let Some(pos) = list.iter().position(|&n| n == victim) {
-                                    list.swap_remove(pos);
-                                }
                             }
                             self.reread_up_all(&next, stream);
                             self.recover_random_victims(stream, next);
@@ -2787,7 +2756,7 @@ impl TelecastSession {
         if needs_lease {
             let bw = self.stream_bw[&stream];
             let region = self.viewers[&viewer].region;
-            match self.cdn.serve(stream, bw, region) {
+            match self.cdn.serve(bw, region) {
                 Ok(lease) => {
                     self.viewers
                         .get_mut(&viewer)
@@ -3076,7 +3045,7 @@ impl TelecastSession {
         for sid in reroutes.drain(..) {
             let bw = self.stream_bw[&sid];
             let region = self.viewers[&viewer].region;
-            match self.cdn.serve(sid, bw, region) {
+            match self.cdn.serve(bw, region) {
                 Ok(lease) => {
                     if let Some(tree) = self.scopes[scope]
                         .group_mut(view)
@@ -3413,7 +3382,7 @@ impl TelecastSession {
         let mut leases = Vec::with_capacity(streams.len());
         for stream in streams {
             let bw = self.stream_bw[&stream];
-            match self.cdn.serve(stream, bw, region) {
+            match self.cdn.serve(bw, region) {
                 Ok(lease) => leases.push(lease),
                 Err(_) => {
                     for lease in leases {

@@ -14,7 +14,7 @@ use telecast_bench::{
     ChurnPreset, ChurnScenario, TenantMixScenario,
 };
 use telecast_cdn::{CapacityBroker, CdnConfig, CdnLease, PoolScope, TenantId, TenantQuota};
-use telecast_media::{ChurnSpec, SiteId, StreamId};
+use telecast_media::ChurnSpec;
 use telecast_net::{Bandwidth, Region};
 use telecast_sim::{SimDuration, SimTime};
 
@@ -54,17 +54,14 @@ proptest! {
         .map(|q| broker.register(q))
         .collect();
         let mut held: Vec<CdnLease> = Vec::new();
-        let mut next_stream = 0u16;
 
         for &(t, r, kbps, is_serve) in &ops {
             let tenant = tenants[t as usize];
             let region = Region::ALL[r];
             if is_serve || held.is_empty() {
-                next_stream += 1;
-                let stream = StreamId::new(SiteId::new(0), next_stream);
                 let bw = Bandwidth::from_kbps(kbps);
                 let admissible = broker.can_serve_in(tenant, bw, region);
-                match broker.serve(tenant, stream, bw, region) {
+                match broker.serve(tenant, bw, region) {
                     Ok(lease) => {
                         prop_assert!(admissible, "serve admitted what can_serve_in refused");
                         held.push(lease);
