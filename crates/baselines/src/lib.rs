@@ -26,11 +26,11 @@
 //! assert!(!config.layering_enabled);
 //! ```
 
-use telecast::{GroupScope, OutboundPolicy, PlacementStrategy, SessionConfig};
+use telecast::{OutboundPolicy, PlacementStrategy, SessionConfig};
 
 /// The Random dissemination baseline (\[19\] in the paper):
 ///
-/// * placement: a few uniformly random probes over the whole session
+/// * placement: three uniformly random probes over the whole session
 ///   population ("a joining node is randomly attached to another node,
 ///   which can serve the request") — no view grouping, no displacement,
 ///   CDN once every probe misses;
@@ -38,19 +38,10 @@ use telecast::{GroupScope, OutboundPolicy, PlacementStrategy, SessionConfig};
 ///   first-served);
 /// * no delay-layer machinery (the scheme predates it).
 ///
-/// The probe count (3) is calibrated so the baseline lands in the 80–88 %
-/// acceptance band Fig. 15(b) reports at 1000 viewers; see DESIGN.md §5.
-/// Use [`random_dissemination_with_probes`] to explore other readings.
+/// The probe count is fixed at 3, calibrated so the baseline lands in
+/// the 80–88 % acceptance band Fig. 15(b) reports at 1000 viewers.
 pub fn random_dissemination(mut config: SessionConfig) -> SessionConfig {
-    config.placement = PlacementStrategy::Random { probes: 3 };
-    config.layering_enabled = false;
-    config
-}
-
-/// A friendlier random variant probing `probes` candidates before giving
-/// up — used to show how much of the gap is pure discovery failure.
-pub fn random_dissemination_with_probes(mut config: SessionConfig, probes: u32) -> SessionConfig {
-    config.placement = PlacementStrategy::Random { probes };
+    config.placement = PlacementStrategy::Random;
     config.layering_enabled = false;
     config
 }
@@ -84,12 +75,6 @@ pub fn no_layering(mut config: SessionConfig) -> SessionConfig {
     config
 }
 
-/// Ablation: session-global view groups instead of per-LSC groups.
-pub fn global_grouping(mut config: SessionConfig) -> SessionConfig {
-    config.group_scope = GroupScope::Global;
-    config
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,15 +82,9 @@ mod tests {
     #[test]
     fn random_disables_grouping_benefits() {
         let c = random_dissemination(SessionConfig::default());
-        assert_eq!(c.placement, PlacementStrategy::Random { probes: 3 });
+        assert_eq!(c.placement, PlacementStrategy::Random);
         assert!(!c.layering_enabled);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn probe_count_is_configurable() {
-        let c = random_dissemination_with_probes(SessionConfig::default(), 4);
-        assert_eq!(c.placement, PlacementStrategy::Random { probes: 4 });
     }
 
     #[test]
@@ -127,8 +106,5 @@ mod tests {
         let c = no_layering(base.clone());
         assert!(!c.layering_enabled);
         assert_eq!(c.placement, base.placement);
-
-        let c = global_grouping(base);
-        assert_eq!(c.group_scope, GroupScope::Global);
     }
 }

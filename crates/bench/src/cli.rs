@@ -94,7 +94,16 @@ impl ScenarioArgs {
                 }
                 "--threads" => out.threads = Some(positive(args, "--threads")?),
                 "--epoch-secs" => out.epoch_secs = Some(positive(args, "--epoch-secs")?),
-                "--tenants" => out.tenants = Some(positive(args, "--tenants")?),
+                "--tenants" => {
+                    let n = positive(args, "--tenants")?;
+                    // Every tenant's floor is a whole percent of the
+                    // pool, at least 1%: the broker cannot admit more
+                    // than 100 of them.
+                    if n > 100 {
+                        return Err(format!("--tenants must be at most 100: {n}"));
+                    }
+                    out.tenants = Some(n);
+                }
                 "--zipf" => {
                     let s = number(args, "--zipf")?;
                     // A non-positive exponent inverts or degenerates the
@@ -104,7 +113,15 @@ impl ScenarioArgs {
                     }
                     out.zipf = Some(s);
                 }
-                "--views" => out.views = Some(positive(args, "--views")?),
+                "--views" => {
+                    let n = positive(args, "--views")?;
+                    // One camera per view, and a site's camera ring is
+                    // indexed by u16.
+                    if n > usize::from(u16::MAX) {
+                        return Err(format!("--views must be at most {}: {n}", u16::MAX));
+                    }
+                    out.views = Some(n);
+                }
                 "--zipf-view" => {
                     let s = number(args, "--zipf-view")?;
                     // Unlike `--zipf` (an audience split, where 0
@@ -347,6 +364,12 @@ mod tests {
         assert!(parse(&["--tenants", "0"]).is_err());
         assert!(parse(&["--tenants"]).is_err());
         assert!(parse(&["--tenants", "many"]).is_err());
+        // Every tenant's floor is a whole percent of at least 1%, so at
+        // most 100 tenants fit; more is a usage error, not a broker panic.
+        assert_eq!(parse(&["--tenants", "100"]).unwrap().tenants, Some(100));
+        assert!(parse(&["--tenants", "101"])
+            .unwrap_err()
+            .contains("at most 100"));
         // …and a non-positive (or non-finite) Zipf exponent like
         // `--churn-pct 0`.
         assert!(parse(&["--zipf", "0"]).is_err());
@@ -367,6 +390,12 @@ mod tests {
         assert!(parse(&["--views", "0"]).is_err());
         assert!(parse(&["--views"]).is_err());
         assert!(parse(&["--views", "several"]).is_err());
+        // A site's camera ring is indexed by u16; more views is a usage
+        // error, not a panic in the scenario.
+        assert_eq!(parse(&["--views", "65535"]).unwrap().views, Some(65_535));
+        assert!(parse(&["--views", "65536"])
+            .unwrap_err()
+            .contains("at most 65535"));
         // …`--zipf-view` allows the uniform 0 but nothing negative or
         // non-finite (ViewPopularity::validate panics downstream)…
         assert_eq!(parse(&["--zipf-view", "0"]).unwrap().zipf_view, Some(0.0));

@@ -10,9 +10,9 @@ use telecast::{OutboundPolicy, PlacementStrategy, SessionConfig};
 use telecast_baselines::{no_layering, random_dissemination};
 use telecast_cdn::CdnConfig;
 use telecast_net::{Bandwidth, BandwidthProfile};
-use telecast_sim::SimDuration;
+use telecast_sim::{parallel_map, SimDuration};
 
-use crate::harness::{cdf_points, parallel_map, run_scenario, Scenario};
+use crate::harness::{cdf_points, run_scenario, Scenario};
 use crate::table::{FigureData, Series};
 
 /// Experiment scale: the paper's full population or a fast smoke size

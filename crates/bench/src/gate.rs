@@ -310,18 +310,6 @@ pub fn evaluate_scenario(
     Ok((report, failures))
 }
 
-/// [`evaluate_scenario`]'s failure list alone.
-///
-/// # Errors
-///
-/// See [`evaluate_scenario`].
-pub fn check_scenario(
-    baseline: &ScenarioBaseline,
-    results_dir: &Path,
-) -> Result<Vec<String>, String> {
-    evaluate_scenario(baseline, results_dir).map(|(_, failures)| failures)
-}
-
 /// Re-records one scenario's baseline values from the current results,
 /// keeping tolerances and the wall ceiling — the update path for
 /// intentional behaviour changes.
@@ -411,10 +399,10 @@ mod tests {
         figure("s", 0.93).write_json(&d).unwrap();
         fs::write(d.join("s.meta.json"), "{\"wall_seconds\": 12.5}").unwrap();
         let b = baseline("s", 0.95, 0.05, 240.0);
-        assert!(check_scenario(&b, &d).unwrap().is_empty());
+        assert!(evaluate_scenario(&b, &d).unwrap().1.is_empty());
         // 0.93 vs 0.95 at 1% of max(0.95,1)=1 → |Δ|=0.02 > 0.01: fail.
         let tight = baseline("s", 0.95, 0.01, 240.0);
-        let failures = check_scenario(&tight, &d).unwrap();
+        let failures = evaluate_scenario(&tight, &d).unwrap().1;
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("regressed"), "{failures:?}");
         fs::remove_dir_all(&d).unwrap();
@@ -426,19 +414,19 @@ mod tests {
         figure("s", 0.95).write_json(&d).unwrap();
         // No meta file yet: the wall check reports an actionable error.
         let b = baseline("s", 0.95, 0.05, 100.0);
-        assert!(check_scenario(&b, &d)
+        assert!(evaluate_scenario(&b, &d)
             .unwrap_err()
             .contains("run the scenario first"));
         fs::write(d.join("s.meta.json"), "{\"wall_seconds\": 150.0}").unwrap();
-        let failures = check_scenario(&b, &d).unwrap();
+        let failures = evaluate_scenario(&b, &d).unwrap().1;
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("wall clock"), "{failures:?}");
         // A zero ceiling disables the wall check.
         let no_wall = baseline("s", 0.95, 0.05, 0.0);
-        assert!(check_scenario(&no_wall, &d).unwrap().is_empty());
+        assert!(evaluate_scenario(&no_wall, &d).unwrap().1.is_empty());
         // Missing results are an error, not a silent pass.
         let missing = baseline("absent", 1.0, 0.1, 0.0);
-        assert!(check_scenario(&missing, &d).is_err());
+        assert!(evaluate_scenario(&missing, &d).is_err());
         fs::remove_dir_all(&d).unwrap();
     }
 
@@ -452,7 +440,7 @@ mod tests {
             value: 1.0,
             tolerance: 0.1,
         });
-        let failures = check_scenario(&b, &d).unwrap();
+        let failures = evaluate_scenario(&b, &d).unwrap().1;
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("missing"), "{failures:?}");
         fs::remove_dir_all(&d).unwrap();
@@ -490,7 +478,7 @@ mod tests {
         )
         .unwrap();
         let b = baseline("s", 0.95, 0.05, 240.0); // records --viewers 100
-        let err = check_scenario(&b, &d).unwrap_err();
+        let err = evaluate_scenario(&b, &d).unwrap_err();
         assert!(err.contains("different invocation") || err.contains("baseline records"));
         let mut b2 = baseline("s", 0.95, 0.05, 240.0);
         assert!(update_scenario(&mut b2, &d).is_err());

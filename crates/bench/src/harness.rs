@@ -114,11 +114,6 @@ pub fn run_scenario(scenario: &Scenario) -> RunResult {
     }
 }
 
-// Sweep execution is the shared deterministic executor in `telecast-sim`;
-// re-exported here so figure generators and downstream callers keep one
-// import path for "run these independent simulations in parallel".
-pub use telecast_sim::{parallel_map, parallel_map_with};
-
 /// Builds an empirical CDF as `(value, fraction ≤ value)` points from
 /// integer-valued samples — the shape of Figures 14(a)–(c). Thin
 /// adapter over the one shared implementation in `telecast_sim::stats`.
@@ -145,18 +140,6 @@ mod tests {
         assert_eq!(result.streams_per_viewer.len(), 30);
         assert_eq!(result.join_delays_ms.len() as u64, 30);
         assert!(result.final_cdn_mbps > 0.0);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..100).collect(), |x: i32| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_empty_is_empty() {
-        let out: Vec<i32> = parallel_map(Vec::<i32>::new(), |x| x);
-        assert!(out.is_empty());
     }
 
     #[test]

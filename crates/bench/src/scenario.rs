@@ -162,7 +162,7 @@ impl RateShape {
         match self {
             RateShape::Steady => RateProfile::Constant,
             RateShape::Diurnal { days, amplitude } => {
-                RateProfile::diurnal_from_trough(day(days), amplitude)
+                RateProfile::diurnal_with_spikes(day(days), amplitude, &[])
             }
             RateShape::Bursts {
                 days,

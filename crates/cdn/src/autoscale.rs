@@ -194,18 +194,19 @@ impl AutoscalePolicy {
 /// integrates), `inflow` an EWMA of the observed *fresh arrival* demand
 /// rate (the flow the churn profile modulates; both fed at each
 /// [`Autoscaler::tick`]), and `phase_ratio` the session's
-/// arrival-rate profile looked up `horizon` ahead relative to now (see
-/// `telecast_media::RateProfile::forecast_ratio`). In steady state
-/// (flat trend, `phase_ratio ≈ 1`) the forecast is just the current
-/// demand — no standing over-provision; under audience growth the trend
-/// term leads the demand instead of lagging a step behind it; ahead of
-/// a spike the `(ratio − 1)` surge term grows the pool *before* the
-/// first rejected join, and ahead of a trough it releases early. The
-/// pool is steered toward `forecast / target_utilisation`, moving up to
-/// [`PREDICTIVE_MAX_UP_STEPS`] steps per decision upward (several times
-/// the reactive climb rate, without betting the whole ceiling on one
-/// noisy observation) and directly to the target downward — never below
-/// the headroom today's demand needs.
+/// arrival-rate profile looked up `horizon` ahead relative to its value
+/// a short lag ago (see
+/// `telecast_media::RateProfile::forecast_ratio_lagged`). In steady
+/// state (flat trend, `phase_ratio ≈ 1`) the forecast is just the
+/// current demand — no standing over-provision; under audience growth
+/// the trend term leads the demand instead of lagging a step behind it;
+/// ahead of a spike the `(ratio − 1)` surge term grows the pool
+/// *before* the first rejected join, and ahead of a trough it releases
+/// early. The pool is steered toward `forecast / target_utilisation`,
+/// moving up to [`PREDICTIVE_MAX_UP_STEPS`] steps per decision upward
+/// (several times the reactive climb rate, without betting the whole
+/// ceiling on one noisy observation) and directly to the target
+/// downward — never below the headroom today's demand needs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PredictivePolicy {
     /// How far ahead demand is forecast. Should cover at least one

@@ -95,16 +95,6 @@ impl TenantQuota {
         ceiling_percent: 100,
     };
 
-    /// An even split of the pool across `n` tenants with `burst`×
-    /// headroom: floor `100/n`, ceiling `min(100, burst·100/n)`.
-    pub fn even_split(n: u32, burst: u32) -> TenantQuota {
-        let n = n.max(1);
-        TenantQuota {
-            floor_percent: 100 / n,
-            ceiling_percent: (burst.max(1) * 100 / n).min(100),
-        }
-    }
-
     /// Panics unless `floor ≤ ceiling ≤ 100` — the invariant
     /// [`CapacityBroker::register`] enforces on admission.
     pub fn validate(self) {
@@ -643,6 +633,12 @@ mod tests {
     use super::*;
     use crate::{split_capacity, PoolScope};
 
+    /// An even two-way split with 2× burst headroom.
+    const HALF: TenantQuota = TenantQuota {
+        floor_percent: 50,
+        ceiling_percent: 100,
+    };
+
     fn per_region_config(mbps: u64) -> CdnConfig {
         CdnConfig::default()
             .with_outbound(Bandwidth::from_mbps(mbps))
@@ -813,10 +809,7 @@ mod tests {
         let broker = CapacityBroker::shared(per_region_config(1_000));
         let (a, b) = {
             let mut guard = broker.lock().unwrap();
-            (
-                guard.register(TenantQuota::even_split(2, 2)),
-                guard.register(TenantQuota::even_split(2, 2)),
-            )
+            (guard.register(HALF), guard.register(HALF))
         };
         let ha = TenantHandle::new(Arc::clone(&broker), a, true);
         let hb = TenantHandle::new(Arc::clone(&broker), b, true);
@@ -832,8 +825,7 @@ mod tests {
         assert_eq!(guard.used_kbps(a, Region::Europe.index()), 0);
         drop(guard);
         // B no longer competes with A's floor: the whole 300 Mbps pool
-        // is admissible (B's ceiling is 100% of its even_split? no —
-        // even_split(2,2) caps at 100/2*2 = 100%).
+        // is admissible (B's ceiling is 100%).
         assert!(hb.can_serve_in(Bandwidth::from_mbps(300), Region::Europe));
     }
 
@@ -843,7 +835,12 @@ mod tests {
         let tenants: Vec<TenantId> = {
             let mut guard = broker.lock().unwrap();
             (0..4)
-                .map(|_| guard.register(TenantQuota::even_split(4, 3)))
+                .map(|_| {
+                    guard.register(TenantQuota {
+                        floor_percent: 25,
+                        ceiling_percent: 75,
+                    })
+                })
                 .collect()
         };
         let handles: Vec<TenantHandle> = tenants
@@ -930,10 +927,7 @@ mod tests {
         let broker = CapacityBroker::shared(per_region_config(1_000));
         let (a, b) = {
             let mut guard = broker.lock().unwrap();
-            (
-                guard.register(TenantQuota::even_split(2, 2)),
-                guard.register(TenantQuota::even_split(2, 2)),
-            )
+            (guard.register(HALF), guard.register(HALF))
         };
         let mut guard = broker.lock().unwrap();
         let grants = guard.arbitrate_retry(Region::Europe.index(), &[(a, 12_000), (b, 24_000)]);

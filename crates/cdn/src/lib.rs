@@ -3,12 +3,14 @@
 //! CDN substrate for the 4D TeleCast reproduction (paper §III-A).
 //!
 //! 4D TeleCast uses a commercial CDN "as a storage and first layer
-//! distribution server": producers upload 3D frames to the distribution
-//! storage and viewers (or the P2P layer's tree roots) pull from it. The
-//! paper's evaluation models the CDN as a bounded outbound pool
-//! (`C_cdn_obw = 6000 Mbps`) with a constant producer→viewer first-hop
-//! delay `Δ = 60 s`; this crate implements that pool, split into one or
-//! more slots ([`PoolScope`]), plus the frame store ([`Distribution`]).
+//! distribution server": producers upload 3D frames to it and viewers
+//! (or the P2P layer's tree roots) pull from it. The paper's evaluation
+//! models the CDN as a bounded outbound pool (`C_cdn_obw = 6000 Mbps`)
+//! with a constant producer→viewer first-hop delay `Δ = 60 s`; this
+//! crate implements that pool, split into one or more slots
+//! ([`PoolScope`]). It stores no frames: the control plane never reads
+//! one, and the session's Eq. 2 frame numbers come from its GSC
+//! monitor.
 //!
 //! On top of the paper's static pool the crate adds an *elastic* mode
 //! (see [`autoscale`]): [`Cdn::apply_scale_slot`] resizes a pool slot at
@@ -34,12 +36,10 @@
 pub mod autoscale;
 pub mod broker;
 mod cost;
-mod distribution;
 
 pub use autoscale::{AutoscalePolicy, Autoscaler, PredictivePolicy, ScaleDecision, ScaleDirection};
 pub use broker::{CapacityBroker, TenantHandle, TenantId, TenantQuota};
 pub use cost::ProvisionedMeter;
-pub use distribution::{Distribution, IngestStats};
 
 use std::error::Error;
 use std::fmt;

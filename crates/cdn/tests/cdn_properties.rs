@@ -49,7 +49,12 @@ proptest! {
         let broker = CapacityBroker::shared(config);
         let handles: Vec<TenantHandle> = (0..tenants)
             .map(|_| {
-                let id = broker.lock().unwrap().register(TenantQuota::even_split(tenants, 2));
+                // An even split with 2× burst headroom.
+                let quota = TenantQuota {
+                    floor_percent: 100 / tenants,
+                    ceiling_percent: (200 / tenants).min(100),
+                };
+                let id = broker.lock().unwrap().register(quota);
                 TenantHandle::new(Arc::clone(&broker), id, false)
             })
             .collect();

@@ -11,13 +11,10 @@ use telecast_sim::SimDuration;
 pub enum PlacementStrategy {
     /// The paper's degree push-down (Algorithm 1) inside view groups.
     PushDown,
-    /// The Random dissemination baseline of §VII: per stream, probe
-    /// `probes` uniformly random session members (no view grouping, no
+    /// The Random dissemination baseline of §VII: per stream, probe three
+    /// uniformly random session members (no view grouping, no
     /// displacement); fall back to the CDN when every probe misses.
-    Random {
-        /// Number of random candidates examined per stream.
-        probes: u32,
-    },
+    Random,
     /// First-fit: scan group members in join order and take the first
     /// free slot (no displacement). An ablation of the push-down rule.
     Fifo,
@@ -50,16 +47,6 @@ pub enum DelayModelChoice {
     /// Always the O(n) coordinate model — required for 10k+-viewer
     /// sessions, where the dense tables would need gigabytes.
     Coordinate,
-}
-
-/// Whether view groups are scoped per LSC region or session-global.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GroupScope {
-    /// One group per (LSC region, view) — the paper's architecture.
-    PerLsc,
-    /// One group per view across all regions (an ablation that trades
-    /// locality for sharing).
-    Global,
 }
 
 /// Full configuration of a 4D TeleCast session.
@@ -129,8 +116,6 @@ pub struct SessionConfig {
     /// pruning — abandoned views keep their fragment forest, the
     /// pre-existing behaviour.
     pub prune_member_floor: Option<usize>,
-    /// Scope of view groups.
-    pub group_scope: GroupScope,
     /// Delay substrate (dense matrix vs O(n) coordinates).
     pub delay_model: DelayModelChoice,
     /// Master seed for all stochastic inputs.
@@ -159,7 +144,6 @@ impl Default for SessionConfig {
             autoscale: None,
             predictive: None,
             prune_member_floor: None,
-            group_scope: GroupScope::PerLsc,
             delay_model: DelayModelChoice::Auto,
             seed: 42,
         }
@@ -187,9 +171,6 @@ impl SessionConfig {
         }
         if self.dmax <= self.cdn.delta {
             return Err("dmax must exceed the CDN delay Δ".into());
-        }
-        if let PlacementStrategy::Random { probes: 0 } = self.placement {
-            return Err("random placement needs at least one probe".into());
         }
         if let Some(policy) = &self.autoscale {
             policy.validate().map_err(|e| format!("autoscale: {e}"))?;
@@ -296,12 +277,6 @@ mod tests {
             ..SessionConfig::default()
         };
         assert!(c.validate().unwrap_err().contains("dmax"));
-
-        let c = SessionConfig {
-            placement: PlacementStrategy::Random { probes: 0 },
-            ..SessionConfig::default()
-        };
-        assert!(c.validate().unwrap_err().contains("probe"));
 
         let c = SessionConfig {
             autoscale: Some(AutoscalePolicy {

@@ -58,7 +58,7 @@ mod tenancy;
 mod viewer;
 
 pub use buffer::ViewerBuffer;
-pub use config::{DelayModelChoice, GroupScope, OutboundPolicy, PlacementStrategy, SessionConfig};
+pub use config::{DelayModelChoice, OutboundPolicy, PlacementStrategy, SessionConfig};
 pub use dataplane::{DataPlane, RenderReport};
 pub use error::TelecastError;
 pub use layers::LayerScheme;

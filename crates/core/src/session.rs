@@ -32,7 +32,7 @@ use telecast_overlay::{
 use telecast_sim::{Engine, SimDuration, SimRng, SimTime};
 
 use crate::alloc::{covers_all_sites, InboundPlan, OutboundPlan};
-use crate::config::{DelayModelChoice, GroupScope, PlacementStrategy, SessionConfig};
+use crate::config::{DelayModelChoice, PlacementStrategy, SessionConfig};
 use crate::error::TelecastError;
 use crate::layers::LayerScheme;
 use crate::metrics::SessionMetrics;
@@ -42,6 +42,11 @@ use telecast_media::FrameNumber;
 
 /// Damping cap for subscription-chain propagation per structural change.
 const RESYNC_VISIT_CAP: u32 = 8;
+
+/// Random session members the Random baseline probes per stream before
+/// falling back to the CDN. Three lands the baseline in the 80–88 %
+/// acceptance band Fig. 15(b) reports at 1000 viewers.
+const RANDOM_PROBES: u32 = 3;
 
 /// One stream's re-derived placement in [`TelecastSession::resync_viewer`].
 struct ResyncEntry {
@@ -365,11 +370,6 @@ impl SessionBuilder {
                 DelayBackend::Coordinate(CoordinateDelayModel::generate(&registry, delay_seed))
             }
         };
-        let scope_count = match config.group_scope {
-            GroupScope::PerLsc => Region::ALL.len(),
-            GroupScope::Global => 1,
-        };
-
         let mut stream_bw = FxHashMap::default();
         for site in &config.sites {
             for s in site.streams() {
@@ -406,7 +406,7 @@ impl SessionBuilder {
             gsc_node,
             lsc_nodes,
             edge_nodes,
-            scopes: (0..scope_count).map(|_| GroupTable::new()).collect(),
+            scopes: Region::ALL.iter().map(|_| GroupTable::new()).collect(),
             random_trees: FxHashMap::default(),
             random_edge_parent: FxHashMap::default(),
             viewers,
@@ -475,7 +475,7 @@ pub struct TelecastSession {
     gsc_node: NodeId,
     lsc_nodes: BTreeMap<Region, NodeId>,
     edge_nodes: BTreeMap<Region, NodeId>,
-    /// Group tables, one per scope (region or global).
+    /// Group tables, one per LSC region (indexed by `Region::index`).
     scopes: Vec<GroupTable>,
     /// Global per-stream trees used by the Random baseline (no grouping).
     random_trees: FxHashMap<StreamId, StreamTree>,
@@ -1023,7 +1023,7 @@ impl TelecastSession {
                 .collect(),
         };
         for (viewer, view, region) in seeds {
-            let scope = self.scope_of(region);
+            let scope = region.index();
             self.propagate_resync(view, scope, [viewer]);
         }
         // Keep ticking only while the session is otherwise active.
@@ -1461,8 +1461,8 @@ impl TelecastSession {
         if state.status != ViewerStatus::Connected {
             return Vec::new();
         }
-        let is_random = matches!(self.config.placement, PlacementStrategy::Random { .. });
-        let scope = self.scope_of(state.region);
+        let is_random = self.config.placement == PlacementStrategy::Random;
+        let scope = state.region.index();
         state
             .subs
             .keys()
@@ -1662,8 +1662,8 @@ impl TelecastSession {
         let streams = self.catalog.view(view).streams_by_priority();
         self.metrics.requested_streams.add(streams.len() as u64);
 
-        let scope = self.scope_of(region);
-        if !matches!(self.config.placement, PlacementStrategy::Random { .. }) {
+        let scope = region.index();
+        if self.config.placement != PlacementStrategy::Random {
             self.scopes[scope].group_for(view, self.catalog.view(view).streams());
         }
 
@@ -1675,7 +1675,7 @@ impl TelecastSession {
             scratch
                 .inbound
                 .allocate(streams, inbound_total, |s, bw| match placement {
-                    PlacementStrategy::Random { .. } => true,
+                    PlacementStrategy::Random => true,
                     _ => {
                         let tree_has = group
                             .and_then(|g| g.tree(s))
@@ -1779,7 +1779,7 @@ impl TelecastSession {
                 .inbound
                 .reserve(inbound_used)
                 .expect("inbound allocation fits by construction");
-            if !matches!(self.config.placement, PlacementStrategy::Random { .. }) {
+            if self.config.placement != PlacementStrategy::Random {
                 v.ports
                     .outbound
                     .reserve(outbound_used)
@@ -1906,7 +1906,7 @@ impl TelecastSession {
             // Release the outbound reservation made above (Random mode
             // never reserved; its parents' ports hold per-edge amounts).
             let v = self.viewers.get_mut(&viewer).expect("viewer exists");
-            if !matches!(self.config.placement, PlacementStrategy::Random { .. })
+            if self.config.placement != PlacementStrategy::Random
                 && !out_plan.outbound_used.is_zero()
             {
                 v.ports.outbound.release(out_plan.outbound_used);
@@ -1951,7 +1951,7 @@ impl TelecastSession {
         // Register group membership (the group exists: created above for
         // every non-Random placement). The prune pass reads this to spot
         // abandoned views.
-        if !matches!(self.config.placement, PlacementStrategy::Random { .. }) {
+        if self.config.placement != PlacementStrategy::Random {
             self.scopes[scope].join(viewer, view);
         }
 
@@ -2124,7 +2124,7 @@ impl TelecastSession {
                     }
                 }
             }
-            PlacementStrategy::Random { probes } => {
+            PlacementStrategy::Random => {
                 // "A joining node is randomly attached to another node,
                 // which can serve the request": sample uniformly from the
                 // whole session (no view grouping, no directory of who
@@ -2134,7 +2134,7 @@ impl TelecastSession {
                 // port on demand.
                 let mut parent_found: Option<NodeId> = None;
                 if !self.viewer_pool.is_empty() {
-                    for _ in 0..probes {
+                    for _ in 0..RANDOM_PROBES {
                         let idx = self.rng.range(0..self.viewer_pool.len());
                         let cand = self.viewer_pool[idx];
                         if cand == viewer {
@@ -2204,7 +2204,7 @@ impl TelecastSession {
         stream: StreamId,
         lease: Option<CdnLease>,
     ) {
-        let is_random = matches!(self.config.placement, PlacementStrategy::Random { .. });
+        let is_random = self.config.placement == PlacementStrategy::Random;
         if is_random {
             if let Some(tree) = self.random_trees.get_mut(&stream) {
                 if tree.contains(viewer) {
@@ -2367,8 +2367,8 @@ impl TelecastSession {
             subs.extend(v.subs.drain());
             (v.region, v.view)
         };
-        let scope = self.scope_of(region);
-        let is_random = matches!(self.config.placement, PlacementStrategy::Random { .. });
+        let scope = region.index();
+        let is_random = self.config.placement == PlacementStrategy::Random;
         // Until the loop below reaches each tree, the viewer's children
         // there read Δ from a parent with no subscription.
         self.push_up_e2e(viewer, subs.iter().map(|&(sid, _)| sid), None);
@@ -2667,7 +2667,7 @@ impl TelecastSession {
         if !still_cdn {
             return;
         }
-        let scope = self.scope_of(region);
+        let scope = region.index();
         let repositioned = self.scopes[scope]
             .group_mut(view)
             .and_then(|g| g.tree_mut(stream))
@@ -3133,8 +3133,7 @@ impl TelecastSession {
         let Some(sub) = v.subs.get(&stream) else {
             return;
         };
-        let (up, up_e2e) =
-            self.pull_up(viewer, v.view, self.scope_of(v.region), stream, sub.parent);
+        let (up, up_e2e) = self.pull_up(viewer, v.view, v.region.index(), stream, sub.parent);
         let sub = self
             .viewers
             .get_mut(&viewer)
@@ -3166,8 +3165,8 @@ impl TelecastSession {
         let Some(v) = self.viewers.get(&viewer) else {
             return;
         };
-        let random = matches!(self.config.placement, PlacementStrategy::Random { .. });
-        let scope = self.scope_of(v.region);
+        let random = self.config.placement == PlacementStrategy::Random;
+        let scope = v.region.index();
         let group = v.view.and_then(|view| self.scopes[scope].group(view));
         for stream in streams {
             let e2e = self.viewers[&viewer]
@@ -3230,13 +3229,6 @@ impl TelecastSession {
             Ok(())
         } else {
             Err(TelecastError::UnknownView(view))
-        }
-    }
-
-    fn scope_of(&self, region: Region) -> usize {
-        match self.config.group_scope {
-            GroupScope::PerLsc => region.index(),
-            GroupScope::Global => 0,
         }
     }
 

@@ -131,7 +131,10 @@ mod tests {
             for t in 0..2u64 {
                 let idx = fleet.add_tenant(
                     &tenant_config(100 + t, 400),
-                    TenantQuota::even_split(2, 2),
+                    TenantQuota {
+                        floor_percent: 50,
+                        ceiling_percent: 100,
+                    },
                     400,
                 );
                 let horizon = SimTime::from_secs(240);
@@ -162,7 +165,10 @@ mod tests {
         for t in 0..3u64 {
             let idx = fleet.add_tenant(
                 &tenant_config(7 + t, 300),
-                TenantQuota::even_split(3, 3),
+                TenantQuota {
+                    floor_percent: 33,
+                    ceiling_percent: 100,
+                },
                 200,
             );
             let horizon = SimTime::from_secs(120);

@@ -2,7 +2,7 @@
 //! synchronization bounds, view changes, departures and victim recovery.
 
 use telecast::{
-    DelayModelChoice, GroupScope, OutboundPolicy, PlacementStrategy, SessionConfig, TelecastError,
+    DelayModelChoice, OutboundPolicy, PlacementStrategy, SessionConfig, TelecastError,
     TelecastSession, ViewerStatus,
 };
 use telecast_cdn::CdnConfig;
@@ -257,7 +257,7 @@ fn random_baseline_accepts_fewer_than_push_down() {
             .with_outbound(BandwidthProfile::uniform_mbps(2, 14))
             .with_cdn(cdn);
         config.placement = placement;
-        if matches!(placement, PlacementStrategy::Random { .. }) {
+        if placement == PlacementStrategy::Random {
             config.layering_enabled = false;
         }
         let mut session = TelecastSession::builder(config).viewers(200).build();
@@ -272,7 +272,7 @@ fn random_baseline_accepts_fewer_than_push_down() {
         session.metrics().acceptance_ratio()
     };
     let telecast = build(PlacementStrategy::PushDown);
-    let random = build(PlacementStrategy::Random { probes: 1 });
+    let random = build(PlacementStrategy::Random);
     assert!(
         telecast > random,
         "push-down ({telecast}) should beat random ({random})"
@@ -296,26 +296,6 @@ fn outbound_policies_trade_quality_for_share() {
     assert!(
         rr >= pf,
         "round-robin ({rr}) should be at least as good as priority-first ({pf})"
-    );
-}
-
-#[test]
-fn global_scope_shares_more_than_per_lsc() {
-    let cdn = CdnConfig::unbounded();
-    let run = |scope| {
-        let mut config = small_config()
-            .with_outbound(BandwidthProfile::fixed_mbps(6))
-            .with_cdn(cdn);
-        config.group_scope = scope;
-        let mut session = TelecastSession::builder(config).viewers(100).build();
-        join_all(&mut session, ViewId::new(0));
-        session.cdn().outbound().used().as_mbps_f64()
-    };
-    let per_lsc = run(GroupScope::PerLsc);
-    let global = run(GroupScope::Global);
-    assert!(
-        global <= per_lsc,
-        "global grouping ({global}) should not need more CDN than per-LSC ({per_lsc})"
     );
 }
 
@@ -351,7 +331,7 @@ fn random_mode_ports_are_conserved_under_churn() {
     // pre-allocation); arbitrary churn must never leave reservations
     // behind once everyone departs.
     let mut config = small_config().with_outbound(BandwidthProfile::uniform_mbps(2, 14));
-    config.placement = PlacementStrategy::Random { probes: 2 };
+    config.placement = PlacementStrategy::Random;
     config.layering_enabled = false;
     let mut session = TelecastSession::builder(config).viewers(80).build();
     let mut rng = SimRng::seed_from_u64(4);

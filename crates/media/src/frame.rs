@@ -64,29 +64,9 @@ pub struct Frame {
     pub bytes: u32,
 }
 
-impl Frame {
-    /// Whether two frames are temporally correlated (captured within
-    /// `skew_us` µs of each other) — the renderer's pairing criterion.
-    pub fn correlated_with(&self, other: &Frame, skew_us: u64) -> bool {
-        let a = self.captured_at.as_micros();
-        let b = other.captured_at.as_micros();
-        a.abs_diff(b) <= skew_us
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::SiteId;
-
-    fn frame(n: u64, at_ms: u64) -> Frame {
-        Frame {
-            stream: StreamId::new(SiteId::new(0), 0),
-            number: FrameNumber::new(n),
-            captured_at: SimTime::from_millis(at_ms),
-            bytes: 25_000,
-        }
-    }
 
     #[test]
     fn frame_number_arithmetic() {
@@ -96,14 +76,5 @@ mod tests {
         assert_eq!(n.saturating_back(100), FrameNumber::ZERO);
         assert_eq!(n.forward(5).value(), 15);
         assert_eq!(n.to_string(), "#10");
-    }
-
-    #[test]
-    fn correlation_is_symmetric_and_bounded() {
-        let a = frame(1, 100);
-        let b = frame(1, 100 + 30);
-        assert!(a.correlated_with(&b, 30_000));
-        assert!(b.correlated_with(&a, 30_000));
-        assert!(!a.correlated_with(&b, 29_999));
     }
 }

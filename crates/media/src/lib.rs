@@ -9,29 +9,27 @@
 //! view-change model, plus the synthetic TEEVE frame traces and viewer
 //! workload generators the evaluation replays.
 //!
-//! # Workload event vocabulary
+//! # Audience models
 //!
-//! Everything a simulated audience does reduces to three scripted
-//! [`WorkloadEvent`]s — `Join { viewer, view }`, `ViewChange { viewer,
-//! view }` and `Depart { viewer }` — in one time-ordered
-//! [`ViewerWorkload`]. Two generators speak that vocabulary:
+//! Two models describe what a simulated audience does:
 //!
-//! * [`ViewerWorkload::builder`] — one-shot audiences: an
-//!   [`ArrivalModel`] (flash / staggered / Poisson), a [`ViewChoice`]
-//!   (single / uniform / Zipf), per-viewer Poisson view changes and a
-//!   departing fraction. [`ViewPopularity`] lifts the choice model to
-//!   the audience level by adding correlated [`RefocusEvent`]s — a
-//!   fraction of *everyone* hops to one target view inside a short
-//!   window (the view-switching storm).
+//! * [`ViewerWorkload::builder`] — one-shot audiences, scripted as three
+//!   [`WorkloadEvent`]s (`Join { viewer, view }`, `ViewChange { viewer,
+//!   view }` and `Depart { viewer }`) in one time-ordered
+//!   [`ViewerWorkload`]: an [`ArrivalModel`] (flash / staggered /
+//!   Poisson), a [`ViewChoice`] (single / uniform / Zipf), per-viewer
+//!   Poisson view changes and a departing fraction. [`ViewPopularity`]
+//!   lifts the choice model to the audience level by adding correlated
+//!   [`RefocusEvent`]s — a fraction of *everyone* hops to one target
+//!   view inside a short window (the view-switching storm).
 //! * [`ChurnSpec`] — sustained membership: Poisson arrivals under a
-//!   [`RateProfile`] (constant / diurnal / spikes), lognormal dwells, a
-//!   failing fraction, and optionally
-//!   [`ChurnSpec::view_switches_per_dwell`] mid-dwell switches.
-//!   [`ChurnSpec::to_workload`] scripts the spec into a finite
-//!   `ViewerWorkload`; `telecast::TelecastSession::start_churn` replays
-//!   the same spec live (without scripted switches).
+//!   [`RateProfile`] (constant, or a diurnal wave with optional flash
+//!   spikes), lognormal dwells and a failing fraction.
+//!   `telecast::TelecastSession::start_churn` replays the spec live
+//!   through the event engine; it emits joins, departures and failures,
+//!   never view changes.
 //!
-//! Both generators draw every stochastic input from the caller's
+//! Both models draw every stochastic input from the caller's
 //! [`telecast_sim::SimRng`], and every off-by-default knob consumes zero
 //! RNG draws when unused — so a pre-existing seed replays its event
 //! script byte-identically after the vocabulary grows.
@@ -49,7 +47,6 @@
 //! assert_eq!(view.streams().count(), 6); // 3 from each site
 //! ```
 
-mod bundle;
 mod frame;
 mod popularity;
 mod producer;
@@ -59,7 +56,6 @@ mod teeve;
 mod view;
 mod workload;
 
-pub use bundle::{inter_bundle_skew, Bundle};
 pub use frame::{Frame, FrameNumber};
 pub use popularity::{RefocusEvent, ViewPopularity};
 pub use producer::ProducerSite;

@@ -41,19 +41,6 @@ impl ProducerSite {
         ProducerSite { id, streams }
     }
 
-    /// Creates a site from explicit stream descriptions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams` is empty or contains a stream of another site.
-    pub fn from_streams(id: SiteId, streams: Vec<StreamInfo>) -> Self {
-        assert!(!streams.is_empty(), "a producer site needs streams");
-        for s in &streams {
-            assert_eq!(s.id.site(), id, "stream {} belongs to another site", s.id);
-        }
-        ProducerSite { id, streams }
-    }
-
     /// The paper's evaluation setup: two sites with 8 cameras each,
     /// 2 Mbps per stream at 10 fps (TEEVE's typical rate).
     pub fn teeve_pair() -> [ProducerSite; 2] {
@@ -77,11 +64,6 @@ impl ProducerSite {
     pub fn stream(&self, camera: u16) -> Option<&StreamInfo> {
         self.streams.iter().find(|s| s.id.camera() == camera)
     }
-
-    /// Aggregate bitrate of all cameras in Kbps.
-    pub fn total_bitrate_kbps(&self) -> u64 {
-        self.streams.iter().map(|s| s.bitrate_kbps).sum()
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +86,8 @@ mod tests {
         let [a, b] = ProducerSite::teeve_pair();
         assert_eq!(a.streams().len(), 8);
         assert_eq!(b.streams().len(), 8);
-        assert_eq!(a.total_bitrate_kbps(), 16_000); // 8 × 2 Mbps
+        let total_kbps: u64 = a.streams().iter().map(|s| s.bitrate_kbps).sum();
+        assert_eq!(total_kbps, 16_000); // 8 × 2 Mbps
         assert_ne!(a.id(), b.id());
     }
 
@@ -113,18 +96,6 @@ mod tests {
         let site = ProducerSite::ring(SiteId::new(2), 8, 2_000, 10);
         assert!(site.stream(7).is_some());
         assert!(site.stream(8).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "another site")]
-    fn from_streams_rejects_foreign_streams() {
-        let foreign = StreamInfo {
-            id: StreamId::new(SiteId::new(1), 0),
-            orientation: Orientation::from_degrees(0.0),
-            bitrate_kbps: 2_000,
-            fps: 10,
-        };
-        ProducerSite::from_streams(SiteId::new(0), vec![foreign]);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 use serde::{Deserialize, Serialize};
 use telecast_sim::{SimDuration, SimRng, SimTime};
 
-/// Maximum number of spike windows a [`RateProfile::Spikes`] profile can
-/// hold (a fixed array keeps the profile `Copy`, like the spec that
-/// embeds it).
+/// Maximum number of spike windows a [`RateProfile::DiurnalSpikes`]
+/// profile can hold (a fixed array keeps the profile `Copy`, like the
+/// spec that embeds it).
 pub const MAX_SPIKE_WINDOWS: usize = 4;
 
 /// One piecewise rate spike: the arrival rate is multiplied by
@@ -61,35 +61,17 @@ pub enum RateProfile {
     /// The original homogeneous process: multiplier 1 forever.
     #[default]
     Constant,
-    /// A sinusoidal day/night wave:
-    /// `1 + amplitude · sin(2π · (t + phase) / period)`.
-    Diurnal {
-        /// Length of one full day/night cycle.
-        period: SimDuration,
-        /// Wave amplitude in `[0, 1]` — 0 degenerates to constant, 1
-        /// silences the trough completely.
-        amplitude: f64,
-        /// Phase offset added to `t` before the sine (use
-        /// [`RateProfile::diurnal_from_trough`] to start a run at the
-        /// quiet point of the cycle).
-        phase: SimDuration,
-    },
-    /// Piecewise flash spikes over an otherwise constant rate.
-    Spikes {
-        /// The spike windows; only the first `active` entries are live.
-        windows: [SpikeWindow; MAX_SPIKE_WINDOWS],
-        /// Number of live windows.
-        active: usize,
-    },
-    /// Flash spikes *composed onto* a sinusoidal diurnal baseline: the
-    /// multiplier is the diurnal wave's value times the spike windows'
-    /// (a replayed-highlight burst during the evening peak multiplies
-    /// the already-elevated rate). This is the `spike_storm` audience
-    /// model.
+    /// Flash spikes *composed onto* a sinusoidal day/night wave: the
+    /// multiplier is `1 + amplitude · sin(2π · (t + phase) / period)`
+    /// times the spike windows' (a replayed-highlight burst during the
+    /// evening peak multiplies the already-elevated rate). With no
+    /// windows the spike factor is exactly 1, leaving the plain diurnal
+    /// wave of `diurnal_wave`; `spike_storm` adds the bursts.
     DiurnalSpikes {
         /// Length of one full day/night cycle.
         period: SimDuration,
-        /// Wave amplitude in `[0, 1]`.
+        /// Wave amplitude in `[0, 1]` — 0 leaves only the spikes, 1
+        /// silences the trough completely.
         amplitude: f64,
         /// Phase offset added to `t` before the sine.
         phase: SimDuration,
@@ -131,33 +113,10 @@ fn diurnal_multiplier(period: SimDuration, amplitude: f64, phase: SimDuration, t
 }
 
 impl RateProfile {
-    /// A diurnal wave that starts at its trough (the sine's minimum), so
-    /// a run beginning at `t = 0` ramps up into the first "day".
-    pub fn diurnal_from_trough(period: SimDuration, amplitude: f64) -> Self {
-        // sin is minimal at 3/4 of the cycle.
-        RateProfile::Diurnal {
-            period,
-            amplitude,
-            phase: period / 2 + period / 4,
-        }
-    }
-
-    /// A spikes profile over the given windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than [`MAX_SPIKE_WINDOWS`] windows are given.
-    pub fn spikes(windows: &[SpikeWindow]) -> Self {
-        let (fixed, active) = pack_windows(windows);
-        RateProfile::Spikes {
-            windows: fixed,
-            active,
-        }
-    }
-
-    /// Spike windows composed onto a diurnal baseline that starts at its
-    /// trough — the `spike_storm` audience: replayed-highlight bursts on
-    /// the day/night wave.
+    /// Spike windows composed onto a diurnal wave that starts at its
+    /// trough (the sine's minimum), so a run beginning at `t = 0` ramps
+    /// up into the first "day". No windows gives the plain wave; the
+    /// `spike_storm` audience adds replayed-highlight bursts.
     ///
     /// # Panics
     ///
@@ -171,6 +130,7 @@ impl RateProfile {
         RateProfile::DiurnalSpikes {
             period,
             amplitude,
+            // sin is minimal at 3/4 of the cycle.
             phase: period / 2 + period / 4,
             windows: fixed,
             active,
@@ -187,12 +147,6 @@ impl RateProfile {
     pub fn multiplier_at(&self, t: SimTime) -> f64 {
         match *self {
             RateProfile::Constant => 1.0,
-            RateProfile::Diurnal {
-                period,
-                amplitude,
-                phase,
-            } => diurnal_multiplier(period, amplitude, phase, t),
-            RateProfile::Spikes { windows, active } => spike_multiplier(&windows[..active], t),
             RateProfile::DiurnalSpikes {
                 period,
                 amplitude,
@@ -211,8 +165,6 @@ impl RateProfile {
     pub fn max_multiplier(&self) -> f64 {
         match *self {
             RateProfile::Constant => 1.0,
-            RateProfile::Diurnal { amplitude, .. } => 1.0 + amplitude,
-            RateProfile::Spikes { windows, active } => spike_envelope(&windows[..active]),
             RateProfile::DiurnalSpikes {
                 amplitude,
                 windows,
@@ -223,24 +175,20 @@ impl RateProfile {
     }
 
     /// The demand-forecast ratio: the rate multiplier `horizon` ahead of
-    /// `now`, relative to the multiplier at `now`. Above 1 the audience
-    /// is about to grow (a spike window opening, the diurnal wave
-    /// climbing); below 1 it is about to shrink. The predictive
+    /// `now`, relative to the multiplier `lag` before `now`. Above 1 the
+    /// audience is about to grow (a spike window opening, the diurnal
+    /// wave climbing); below 1 it is about to shrink. The predictive
     /// autoscaler feeds this straight into its scale decision. Clamped
-    /// against a vanishing present multiplier so a silent trough does
-    /// not produce an infinite ratio.
-    pub fn forecast_ratio(&self, now: SimTime, horizon: SimDuration) -> f64 {
-        self.forecast_ratio_lagged(now, horizon, SimDuration::ZERO)
-    }
-
-    /// [`RateProfile::forecast_ratio`] measured against the multiplier a
-    /// little in the *past* instead of right now. A forecaster whose
-    /// demand observations are EWMA-smoothed effectively sees the rate
-    /// of `lag` ago; comparing the future against that reference keeps
-    /// the ratio elevated through a spike's onset (when the rate has
-    /// already jumped but the smoothed observations — and the demand
-    /// itself — have not caught up yet) instead of collapsing to 1 and
-    /// releasing capacity into the front of the burst.
+    /// against a vanishing past multiplier so a silent trough does not
+    /// produce an infinite ratio.
+    ///
+    /// A forecaster whose demand observations are EWMA-smoothed
+    /// effectively sees the rate of `lag` ago; comparing the future
+    /// against that reference keeps the ratio elevated through a spike's
+    /// onset (when the rate has already jumped but the smoothed
+    /// observations — and the demand itself — have not caught up yet)
+    /// instead of collapsing to 1 and releasing capacity into the front
+    /// of the burst.
     pub fn forecast_ratio_lagged(
         &self,
         now: SimTime,
@@ -260,10 +208,6 @@ impl RateProfile {
     pub fn validate(&self) -> Result<(), String> {
         match *self {
             RateProfile::Constant => Ok(()),
-            RateProfile::Diurnal {
-                period, amplitude, ..
-            } => validate_diurnal(period, amplitude),
-            RateProfile::Spikes { windows, active } => validate_spikes(&windows, active),
             RateProfile::DiurnalSpikes {
                 period,
                 amplitude,
@@ -362,6 +306,12 @@ fn validate_spikes(
 mod tests {
     use super::*;
 
+    /// Spike windows over a flat baseline: a zero-amplitude wave
+    /// contributes exactly 1.
+    fn spikes(windows: &[SpikeWindow]) -> RateProfile {
+        RateProfile::diurnal_with_spikes(SimDuration::from_secs(86_400), 0.0, windows)
+    }
+
     #[test]
     fn constant_profile_matches_the_plain_exponential_stream() {
         let mean = SimDuration::from_secs(10);
@@ -382,7 +332,7 @@ mod tests {
 
     #[test]
     fn diurnal_multiplier_waves_between_trough_and_peak() {
-        let p = RateProfile::diurnal_from_trough(SimDuration::from_secs(86_400), 0.8);
+        let p = RateProfile::diurnal_with_spikes(SimDuration::from_secs(86_400), 0.8, &[]);
         assert!(p.validate().is_ok());
         let trough = p.multiplier_at(SimTime::ZERO);
         let peak = p.multiplier_at(SimTime::from_secs(43_200));
@@ -393,7 +343,7 @@ mod tests {
 
     #[test]
     fn thinning_tracks_the_diurnal_wave() {
-        let p = RateProfile::diurnal_from_trough(SimDuration::from_secs(1_000), 0.9);
+        let p = RateProfile::diurnal_with_spikes(SimDuration::from_secs(1_000), 0.9, &[]);
         let mean = SimDuration::from_secs_f64(0.5);
         let horizon = SimTime::from_secs(10_000);
         let mut rng = SimRng::seed_from_u64(11);
@@ -401,7 +351,7 @@ mod tests {
         let mut low_half = 0usize; // cycle positions [0, 500): around the trough
         let mut high_half = 0usize; // cycle positions [500, 1000): around the peak
         while let Some(at) = p.sample_next_arrival(mean, t, horizon, &mut rng) {
-            // diurnal_from_trough: trough at cycle position 0, peak at
+            // The wave starts at its trough: trough at cycle position 0, peak at
             // position period/2 — compare the quarter-cycles centred on
             // each.
             let cycle_pos = at.as_micros() % 1_000_000_000;
@@ -420,7 +370,7 @@ mod tests {
 
     #[test]
     fn spike_windows_multiply_the_rate() {
-        let p = RateProfile::spikes(&[
+        let p = spikes(&[
             SpikeWindow {
                 start: SimTime::from_secs(100),
                 duration: SimDuration::from_secs(50),
@@ -442,7 +392,7 @@ mod tests {
 
     #[test]
     fn sampling_is_seed_deterministic() {
-        let p = RateProfile::diurnal_from_trough(SimDuration::from_secs(600), 0.5);
+        let p = RateProfile::diurnal_with_spikes(SimDuration::from_secs(600), 0.5, &[]);
         let mean = SimDuration::from_secs(1);
         let horizon = SimTime::from_secs(3_600);
         let draw = |seed: u64| {
@@ -485,7 +435,7 @@ mod tests {
         // A 5× spike over [2000, 3000) on a base rate of 4/s: the
         // empirical arrival rate inside the window must sit near 20/s,
         // the rate outside near 4/s.
-        let p = RateProfile::spikes(&[SpikeWindow {
+        let p = spikes(&[SpikeWindow {
             start: SimTime::from_secs(2_000),
             duration: SimDuration::from_secs(1_000),
             multiplier: 5.0,
@@ -513,7 +463,7 @@ mod tests {
 
     #[test]
     fn spike_sampling_is_seed_deterministic() {
-        let p = RateProfile::spikes(&[
+        let p = spikes(&[
             SpikeWindow {
                 start: SimTime::from_secs(100),
                 duration: SimDuration::from_secs(60),
@@ -543,7 +493,7 @@ mod tests {
 
     #[test]
     fn overlapping_spikes_take_the_tallest_multiplier() {
-        let overlapping = RateProfile::spikes(&[
+        let overlapping = spikes(&[
             SpikeWindow {
                 start: SimTime::from_secs(100),
                 duration: SimDuration::from_secs(100),
@@ -560,7 +510,7 @@ mod tests {
         assert_eq!(overlapping.multiplier_at(SimTime::from_secs(220)), 7.0);
         assert_eq!(overlapping.max_multiplier(), 7.0);
         // Order independence: the reversed window list composes the same.
-        let reversed = RateProfile::spikes(&[
+        let reversed = spikes(&[
             SpikeWindow {
                 start: SimTime::from_secs(150),
                 duration: SimDuration::from_secs(100),
@@ -586,7 +536,7 @@ mod tests {
             multiplier: 9.0,
         };
         assert!(!w.contains(SimTime::from_secs(100)));
-        let p = RateProfile::spikes(&[w]);
+        let p = spikes(&[w]);
         // Even unvalidated, a zero-width window never perturbs the rate
         // or inflates the thinning envelope.
         assert_eq!(p.multiplier_at(SimTime::from_secs(100)), 1.0);
@@ -626,45 +576,35 @@ mod tests {
 
     #[test]
     fn forecast_ratio_sees_the_spike_coming() {
-        let p = RateProfile::spikes(&[SpikeWindow {
+        let p = spikes(&[SpikeWindow {
             start: SimTime::from_secs(300),
             duration: SimDuration::from_secs(100),
             multiplier: 6.0,
         }]);
         let horizon = SimDuration::from_secs(60);
         // One horizon before the spike opens, the ratio jumps to 6.
-        assert!((p.forecast_ratio(SimTime::from_secs(250), horizon) - 6.0).abs() < 1e-9);
+        let ratio = |p: &RateProfile, now| p.forecast_ratio_lagged(now, horizon, SimDuration::ZERO);
+        assert!((ratio(&p, SimTime::from_secs(250)) - 6.0).abs() < 1e-9);
         // Inside the spike looking past its end, the ratio collapses.
-        assert!((p.forecast_ratio(SimTime::from_secs(380), horizon) - 1.0 / 6.0).abs() < 1e-9);
+        assert!((ratio(&p, SimTime::from_secs(380)) - 1.0 / 6.0).abs() < 1e-9);
         // Flat profiles forecast no change, and the ratio is capped by
         // the envelope even when the present multiplier vanishes.
-        assert_eq!(
-            RateProfile::Constant.forecast_ratio(SimTime::ZERO, horizon),
-            1.0
-        );
-        let blackout = RateProfile::spikes(&[SpikeWindow {
+        assert_eq!(ratio(&RateProfile::Constant, SimTime::ZERO), 1.0);
+        let blackout = spikes(&[SpikeWindow {
             start: SimTime::ZERO,
             duration: SimDuration::from_secs(50),
             multiplier: 0.0,
         }]);
-        assert!(blackout.forecast_ratio(SimTime::from_secs(10), horizon) <= 1.0);
+        assert!(ratio(&blackout, SimTime::from_secs(10)) <= 1.0);
     }
 
     #[test]
     fn validation_catches_bad_profiles() {
-        let p = RateProfile::Diurnal {
-            period: SimDuration::ZERO,
-            amplitude: 0.5,
-            phase: SimDuration::ZERO,
-        };
+        let p = RateProfile::diurnal_with_spikes(SimDuration::ZERO, 0.5, &[]);
         assert!(p.validate().unwrap_err().contains("period"));
-        let p = RateProfile::Diurnal {
-            period: SimDuration::from_secs(60),
-            amplitude: 1.5,
-            phase: SimDuration::ZERO,
-        };
+        let p = RateProfile::diurnal_with_spikes(SimDuration::from_secs(60), 1.5, &[]);
         assert!(p.validate().unwrap_err().contains("amplitude"));
-        let p = RateProfile::spikes(&[SpikeWindow {
+        let p = spikes(&[SpikeWindow {
             start: SimTime::ZERO,
             duration: SimDuration::ZERO,
             multiplier: 2.0,
@@ -680,6 +620,6 @@ mod tests {
             duration: SimDuration::from_secs(1),
             multiplier: 2.0,
         };
-        RateProfile::spikes(&[w; MAX_SPIKE_WINDOWS + 1]);
+        spikes(&[w; MAX_SPIKE_WINDOWS + 1]);
     }
 }

@@ -121,11 +121,6 @@ impl LocalView {
     pub fn streams(&self) -> &[PrioritizedStream] {
         &self.streams
     }
-
-    /// The highest-priority stream of this local view.
-    pub fn top_stream(&self) -> &PrioritizedStream {
-        &self.streams[0]
-    }
 }
 
 /// A global view — the paper's **4D content**: one local view per site.
@@ -199,24 +194,6 @@ impl GlobalView {
             .iter()
             .flat_map(|l| l.streams().iter().map(|p| p.stream))
     }
-
-    /// Whether `other` denotes a different view per §II-C: `vi ≠ vj` iff
-    /// some stream of one is missing from the other.
-    pub fn differs_from(&self, other: &GlobalView) -> bool {
-        let mine: std::collections::BTreeSet<_> = self.streams().collect();
-        let theirs: std::collections::BTreeSet<_> = other.streams().collect();
-        mine != theirs
-    }
-
-    /// Streams of `self` not present in `other` — the subscriptions a
-    /// view change must add (and, with arguments swapped, drop).
-    pub fn streams_missing_from<'a>(
-        &'a self,
-        other: &GlobalView,
-    ) -> impl Iterator<Item = StreamId> + 'a {
-        let theirs: std::collections::BTreeSet<_> = other.streams().collect();
-        self.streams().filter(move |s| !theirs.contains(s))
-    }
 }
 
 /// The set of selectable global views in a session.
@@ -262,19 +239,6 @@ impl ViewCatalog {
         ViewCatalog { views }
     }
 
-    /// Builds a catalog from explicit views.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `views` is empty or ids don't match positions.
-    pub fn from_views(views: Vec<GlobalView>) -> Self {
-        assert!(!views.is_empty(), "catalog cannot be empty");
-        for (i, v) in views.iter().enumerate() {
-            assert_eq!(v.id().index(), i, "view ids must match catalog order");
-        }
-        ViewCatalog { views }
-    }
-
     /// Number of selectable views.
     pub fn len(&self) -> usize {
         self.views.len()
@@ -316,8 +280,8 @@ mod tests {
         let local = LocalView::compute(&sites[0], v, -1.0, 3);
         assert_eq!(local.streams().len(), 3);
         // Rank 1 is the camera pointing straight at the view.
-        assert!((local.top_stream().df - 1.0).abs() < 1e-9);
-        assert_eq!(local.top_stream().eta, 1);
+        assert!((local.streams()[0].df - 1.0).abs() < 1e-9);
+        assert_eq!(local.streams()[0].eta, 1);
         // df non-increasing, η strictly increasing.
         let s = local.streams();
         for w in s.windows(2) {
@@ -378,12 +342,13 @@ mod tests {
         let catalog = ViewCatalog::canonical(&sites, 3);
         let v0 = catalog.view(ViewId::new(0));
         let v1 = catalog.view(ViewId::new(1));
-        assert!(v0.differs_from(v1));
-        assert!(!v0.differs_from(v0));
-        // Adjacent views (45° apart) share some streams but not all.
-        let added: Vec<_> = v1.streams_missing_from(v0).collect();
-        assert!(!added.is_empty());
-        assert!(added.len() < v1.streams().count());
+        // §II-C: `vi ≠ vj` iff some stream of one is missing from the
+        // other. Adjacent views (45° apart) share some streams but not all.
+        let set = |v: &GlobalView| v.streams().collect::<std::collections::BTreeSet<_>>();
+        assert_ne!(set(v0), set(v1));
+        let added = set(v1).difference(&set(v0)).count();
+        assert!(added > 0);
+        assert!(added < v1.streams().count());
     }
 
     #[test]
@@ -391,20 +356,6 @@ mod tests {
     fn zero_max_streams_panics() {
         let sites = teeve_sites();
         LocalView::compute(&sites[0], Orientation::from_degrees(0.0), -1.0, 0);
-    }
-
-    #[test]
-    fn catalog_from_views_validates_ids() {
-        let sites = teeve_sites();
-        let v = Orientation::from_degrees(0.0);
-        let locals = vec![
-            LocalView::compute(&sites[0], v, -1.0, 2),
-            LocalView::compute(&sites[1], v, -1.0, 2),
-        ];
-        let view = GlobalView::new(ViewId::new(0), v, locals);
-        let catalog = ViewCatalog::from_views(vec![view]);
-        assert_eq!(catalog.len(), 1);
-        assert_eq!(catalog.view(ViewId::new(0)).site_count(), 2);
     }
 
     #[test]

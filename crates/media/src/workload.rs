@@ -341,13 +341,10 @@ impl ViewerWorkloadBuilder {
 /// a fraction of abrupt failures — the sustained-membership counterpart
 /// of the one-shot [`ViewerWorkload`] scripts.
 ///
-/// The spec is the shared vocabulary between the two ways of driving
-/// viewer dynamics: [`ChurnSpec::to_workload`] scripts a finite batch of
-/// events up front (small populations, cross-scheme comparisons on
-/// identical inputs), while `telecast::TelecastSession::start_churn`
-/// replays the *same spec* live through the discrete-event engine
-/// (sustained 100k+ populations where a pre-materialised script would
-/// not fit and rejected viewers must be able to retry).
+/// `telecast::TelecastSession::start_churn` replays the spec live
+/// through the discrete-event engine: each arrival is drawn when the
+/// previous one fires, so sustained 100k+ populations never materialise
+/// a script, and rejected viewers can retry.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ChurnSpec {
     /// Mean gap between Poisson arrivals (the *base* rate; see
@@ -364,17 +361,9 @@ pub struct ChurnSpec {
     pub view_choice: ViewChoice,
     /// How the arrival rate varies over virtual time: constant (the
     /// original homogeneous process, byte-identical draws for existing
-    /// seeds), a sinusoidal diurnal wave, or piecewise flash spikes —
+    /// seeds) or a sinusoidal diurnal wave with optional flash spikes —
     /// sampled by thinning (see [`crate::RateProfile`]).
     pub rate_profile: crate::RateProfile,
-    /// Mean number of mid-dwell view switches per connected viewer,
-    /// scripted by [`ChurnSpec::to_workload`] as `ViewChange` events
-    /// spread uniformly over the viewer's dwell. The default `0.0`
-    /// consumes no RNG draws, so pre-switch seeds replay
-    /// byte-identically. The live runtime
-    /// (`telecast::TelecastSession::start_churn`) does not replay
-    /// switches — drive switching storms through the scripted path.
-    pub view_switches_per_dwell: f64,
 }
 
 impl ChurnSpec {
@@ -403,7 +392,6 @@ impl ChurnSpec {
             fail_fraction: 0.1,
             view_choice: ViewChoice::Zipf { s: 0.8 },
             rate_profile: crate::RateProfile::Constant,
-            view_switches_per_dwell: 0.0,
         }
     }
 
@@ -416,13 +404,6 @@ impl ChurnSpec {
     /// Sets the time-varying arrival-rate profile.
     pub fn with_rate_profile(mut self, profile: crate::RateProfile) -> Self {
         self.rate_profile = profile;
-        self
-    }
-
-    /// Sets the mean number of mid-dwell view switches per viewer
-    /// (scripted-path only; see [`ChurnSpec::view_switches_per_dwell`]).
-    pub fn with_view_switches(mut self, per_dwell: f64) -> Self {
-        self.view_switches_per_dwell = per_dwell;
         self
     }
 
@@ -445,12 +426,6 @@ impl ChurnSpec {
             return Err(format!(
                 "fail_fraction out of [0, 1]: {}",
                 self.fail_fraction
-            ));
-        }
-        if !self.view_switches_per_dwell.is_finite() || self.view_switches_per_dwell < 0.0 {
-            return Err(format!(
-                "view_switches_per_dwell invalid: {}",
-                self.view_switches_per_dwell
             ));
         }
         self.rate_profile.validate()?;
@@ -484,83 +459,6 @@ impl ChurnSpec {
     /// Draws whether a leave is an abrupt failure.
     pub fn sample_fail(&self, rng: &mut SimRng) -> bool {
         rng.chance(self.fail_fraction)
-    }
-
-    /// Scripts this spec into a finite [`ViewerWorkload`]: viewers from a
-    /// pool of `viewers` arrive by the Poisson process until `horizon`,
-    /// each departing after its sampled dwell (failures cannot be
-    /// scripted — [`WorkloadEvent`] has no failure variant — so every
-    /// leave becomes a graceful departure). Arrivals beyond the pool
-    /// size reuse the earliest-departed viewer index. When
-    /// [`ChurnSpec::view_switches_per_dwell`] is positive, each connected
-    /// viewer additionally scripts a Poisson number of `ViewChange`
-    /// events at uniform instants inside its dwell, chained so every
-    /// switch targets a view different from the one being watched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `viewers` is zero or `catalog_len` is zero.
-    pub fn to_workload(
-        &self,
-        viewers: usize,
-        catalog_len: usize,
-        horizon: SimTime,
-        rng: &mut SimRng,
-    ) -> ViewerWorkload {
-        assert!(viewers > 0, "churn workload needs a viewer pool");
-        let mut events: Vec<(SimTime, WorkloadEvent)> = Vec::new();
-        // Pool of (free-at, index): a viewer can be reused once departed.
-        let mut free: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, usize)>> = (0
-            ..viewers)
-            .map(|i| std::cmp::Reverse((SimTime::ZERO, i)))
-            .collect();
-        let mut t = SimTime::ZERO;
-        while let Some(next) = self.sample_next_arrival(t, horizon, rng) {
-            t = next;
-            let Some(&std::cmp::Reverse((free_at, viewer))) = free.peek() else {
-                break;
-            };
-            if free_at > t {
-                // Every viewer is still connected; the arrival is lost
-                // (the live runtime would retry later instead).
-                continue;
-            }
-            free.pop();
-            let view = self.view_choice.sample(catalog_len, rng);
-            events.push((t, WorkloadEvent::Join { viewer, view }));
-            let dwell = self.sample_dwell(rng);
-            let leave = t + dwell;
-            // Guarded so the default spec consumes zero extra draws and
-            // pre-switch seeds replay byte-identically.
-            if self.view_switches_per_dwell > 0.0 {
-                let switches = poisson_count(self.view_switches_per_dwell, rng);
-                let mut switch_times: Vec<SimTime> =
-                    (0..switches).map(|_| t + jitter(dwell, rng)).collect();
-                switch_times.sort_unstable();
-                let mut current = view;
-                for at in switch_times {
-                    let next = self.view_choice.sample_change(catalog_len, current, rng);
-                    if next == current {
-                        continue; // single-view catalog: nowhere to switch
-                    }
-                    current = next;
-                    events.push((
-                        at,
-                        WorkloadEvent::ViewChange {
-                            viewer,
-                            view: current,
-                        },
-                    ));
-                }
-            }
-            events.push((leave, WorkloadEvent::Depart { viewer }));
-            free.push(std::cmp::Reverse((leave, viewer)));
-        }
-        events.sort_by_key(|&(at, _)| at);
-        ViewerWorkload {
-            events,
-            viewer_count: viewers,
-        }
     }
 }
 
@@ -751,84 +649,6 @@ mod tests {
         let mut zero_gap = spec;
         zero_gap.mean_arrival_gap = SimDuration::ZERO;
         assert!(zero_gap.validate().is_err());
-    }
-
-    #[test]
-    fn churn_workload_bridge_is_deterministic_and_ordered() {
-        let spec = ChurnSpec::steady_state(50, 0.2);
-        let build = |seed| {
-            let mut rng = SimRng::seed_from_u64(seed);
-            spec.to_workload(50, 8, SimTime::from_secs(600), &mut rng)
-        };
-        let wl = build(3);
-        assert_eq!(wl, build(3));
-        assert_ne!(wl, build(4));
-        assert!(wl.events().windows(2).all(|w| w[0].0 <= w[1].0));
-        // Every join is eventually followed by that viewer's departure.
-        let joins = wl
-            .events()
-            .iter()
-            .filter(|(_, e)| matches!(e, WorkloadEvent::Join { .. }))
-            .count();
-        let departs = wl
-            .events()
-            .iter()
-            .filter(|(_, e)| matches!(e, WorkloadEvent::Depart { .. }))
-            .count();
-        assert_eq!(joins, departs);
-        assert!(joins > 0, "no arrivals before the horizon");
-        // A viewer is never double-joined: joins and departures alternate
-        // per index.
-        let mut connected = std::collections::HashSet::new();
-        for (_, ev) in wl.events() {
-            match *ev {
-                WorkloadEvent::Join { viewer, .. } => {
-                    assert!(connected.insert(viewer), "double join of {viewer}");
-                }
-                WorkloadEvent::Depart { viewer } => {
-                    assert!(connected.remove(&viewer), "departure without join");
-                }
-                WorkloadEvent::ViewChange { .. } => {
-                    panic!("default spec (0 switches/dwell) scripted a view change")
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn churn_bridge_scripts_view_switches_while_connected() {
-        let spec = ChurnSpec::steady_state(50, 0.2).with_view_switches(1.5);
-        assert!(spec.validate().is_ok());
-        let mut rng = SimRng::seed_from_u64(3);
-        let wl = spec.to_workload(50, 8, SimTime::from_secs(600), &mut rng);
-        // Every switch happens while its viewer is connected and targets
-        // a view different from the one being watched.
-        let mut watching: std::collections::HashMap<usize, ViewId> = Default::default();
-        let mut switches = 0usize;
-        for (_, ev) in wl.events() {
-            match *ev {
-                WorkloadEvent::Join { viewer, view } => {
-                    assert!(watching.insert(viewer, view).is_none());
-                }
-                WorkloadEvent::ViewChange { viewer, view } => {
-                    let current = watching
-                        .insert(viewer, view)
-                        .expect("switch while disconnected");
-                    assert_ne!(current, view, "switch to the watched view");
-                    switches += 1;
-                }
-                WorkloadEvent::Depart { viewer } => {
-                    assert!(watching.remove(&viewer).is_some());
-                }
-            }
-        }
-        assert!(switches > 0, "switch-enabled spec scripted no switches");
-        // Switches are off by default, preserving pre-switch byte streams.
-        assert_eq!(
-            ChurnSpec::steady_state(50, 0.2).view_switches_per_dwell,
-            0.0
-        );
-        assert!(spec.with_view_switches(-1.0).validate().is_err());
     }
 
     #[test]

@@ -24,7 +24,7 @@ proptest! {
             .iter()
             .map(|st| st.orientation.dot(v))
             .fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!((local.top_stream().df - max_df).abs() < 1e-12);
+        prop_assert!((local.streams()[0].df - max_df).abs() < 1e-12);
     }
 
     /// Raising the cutoff never adds streams (monotone truncation), and

@@ -102,24 +102,6 @@ impl ViewGroup {
     pub fn is_drained(&self) -> bool {
         self.members.is_empty() && self.trees.values().all(|t| t.is_empty())
     }
-
-    /// Runs [`StreamTree::merge_cdn_fragments`] over every stream tree,
-    /// in ascending stream order for determinism. Returns the total
-    /// number of fragments folded under P2P parents.
-    pub fn merge_fragments(&mut self) -> usize {
-        let mut streams: Vec<StreamId> = self.trees.keys().copied().collect();
-        streams.sort_unstable();
-        let mut merged = 0;
-        for stream in streams {
-            let tree = self.trees.get_mut(&stream).expect("stream is covered");
-            merged += tree
-                .merge_cdn_fragments()
-                .iter()
-                .filter(|(_, parent)| matches!(parent, crate::tree::TreeParent::Viewer(_)))
-                .count();
-        }
-        merged
-    }
 }
 
 /// The LSC's table of view groups.
@@ -197,23 +179,6 @@ impl GroupTable {
             }
             _ => false,
         }
-    }
-
-    /// Retires every drained group, returning the retired views in
-    /// ascending id order (the backing map iterates in hash order, so
-    /// the sweep sorts before removing to stay deterministic).
-    pub fn retire_drained(&mut self) -> Vec<ViewId> {
-        let mut drained: Vec<ViewId> = self
-            .groups
-            .iter()
-            .filter(|(_, g)| g.is_drained())
-            .map(|(&v, _)| v)
-            .collect();
-        drained.sort_unstable();
-        for view in &drained {
-            self.groups.remove(view);
-        }
-        drained
     }
 
     /// Iterates over all groups.
@@ -317,8 +282,7 @@ mod tests {
             .unwrap();
         tree.attach_to_cdn(a, 2, telecast_net::Bandwidth::from_mbps(4));
         assert!(!table.retire_if_drained(ViewId::new(1)));
-        // Draining both sides retires the group; a sweep reports the
-        // retired views in ascending order.
+        // Draining both sides retires both groups.
         table
             .group_mut(ViewId::new(1))
             .unwrap()
@@ -326,32 +290,12 @@ mod tests {
             .unwrap()
             .remove(a);
         table.leave(a);
-        assert_eq!(table.retire_drained(), vec![ViewId::new(0), ViewId::new(1)]);
+        assert!(table.retire_if_drained(ViewId::new(0)));
+        assert!(table.retire_if_drained(ViewId::new(1)));
         assert!(table.is_empty());
         // The next request recreates the group lazily.
         table.group_for(ViewId::new(0), streams(3));
         assert_eq!(table.group(ViewId::new(0)).unwrap().streams().count(), 3);
-    }
-
-    #[test]
-    fn merge_fragments_counts_p2p_folds() {
-        let mut reg = NodeRegistry::new();
-        let strong = viewer(&mut reg);
-        let weak = viewer(&mut reg);
-        let mut group = ViewGroup::new(ViewId::new(0), streams(1));
-        let sid = StreamId::new(SiteId::new(0), 0);
-        let tree = group.tree_mut(sid).unwrap();
-        // Two CDN-rooted fragments: the weak one folds under the strong.
-        tree.attach_to_cdn(strong, 4, telecast_net::Bandwidth::from_mbps(8));
-        tree.attach_to_cdn(weak, 0, telecast_net::Bandwidth::ZERO);
-        assert_eq!(group.tree_population(), 2);
-        assert_eq!(group.merge_fragments(), 1);
-        let tree = group.tree(sid).unwrap();
-        assert_eq!(tree.cdn_children().count(), 1);
-        assert_eq!(
-            tree.parent_of(weak),
-            Some(crate::tree::TreeParent::Viewer(strong))
-        );
     }
 
     #[test]

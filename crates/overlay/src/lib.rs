@@ -29,17 +29,18 @@
 //! group's audience entirely while the stragglers' fragments keep their
 //! CDN slots. Two operations shrink an abandoned view's overlay again:
 //!
-//! * **merge** — [`StreamTree::merge_cdn_fragments`] folds CDN-rooted
-//!   fragments back under P2P parents, weakest root first (the same
-//!   `(out_degree, C_obw, id)` order the attach planner probes), so the
-//!   caller can release the folded roots' CDN capacity back to the
-//!   pool; at least one CDN root always remains in a non-empty tree;
+//! * **merge** — [`StreamTree::reposition_from_cdn`] folds one
+//!   CDN-rooted fragment back under a P2P parent; the caller walks
+//!   [`StreamTree::cdn_fragment_roots`] weakest root first (the same
+//!   `(out_degree, C_obw, id)` order the attach planner probes) and
+//!   releases each folded root's CDN capacity back to the pool; at
+//!   least one CDN root always remains in a non-empty tree;
 //! * **retire** — [`GroupTable::retire_if_drained`] removes a group
 //!   whose membership and trees have fully drained; the next request
 //!   for the view recreates it lazily through [`GroupTable::group_for`].
 //!
-//! Both are deterministic (weakest-first merge order, ascending-id
-//! retirement sweeps) and preserve every maintained index invariant —
+//! Both are deterministic (weakest-first merge order, one view retired
+//! at a time) and preserve every maintained index invariant —
 //! `check_invariants` verifies symmetry, degree bounds, acyclicity and
 //! reachability after each pass, and a property test asserts no
 //! connected viewer is ever stranded.

@@ -762,30 +762,6 @@ impl StreamTree {
         roots.map(|&(_, _, id)| id).collect()
     }
 
-    /// The prune/merge pass: folds CDN-rooted fragments back under P2P
-    /// parents, weakest root first, collapsing the forest an abandoned
-    /// view leaves behind. Returns `(root, new_parent)` for every root
-    /// whose position changed; a root that keeps `TreeParent::Cdn` (no
-    /// P2P position exists, or it displaced another CDN child and
-    /// inherited its slot) still needs its CDN serve. At least one CDN
-    /// root always remains in a non-empty tree — the planner never
-    /// offers a root a position inside its own subtree, and the last
-    /// fragment has nothing else to attach to.
-    pub fn merge_cdn_fragments(&mut self) -> Vec<(NodeId, TreeParent)> {
-        let mut merged = Vec::new();
-        for root in self.cdn_fragment_roots() {
-            // An earlier merge in this pass may have displaced this root
-            // off the CDN already.
-            if self.parent_of(root) != Some(TreeParent::Cdn) {
-                continue;
-            }
-            if let Some(parent) = self.reposition_from_cdn(root) {
-                merged.push((root, parent));
-            }
-        }
-        merged
-    }
-
     /// Shape statistics, computed from the level sets in O(levels) — no
     /// traversal.
     pub fn metrics(&self) -> TreeMetrics {

@@ -20,6 +20,24 @@ fn stream() -> StreamId {
     StreamId::new(SiteId::new(0), 0)
 }
 
+/// One whole-tree prune pass, as the session runs it per root: fold each
+/// CDN-rooted fragment under a P2P parent, weakest root first. Returns
+/// `(root, new_parent)` for every root whose position changed.
+fn fold_cdn_fragments(tree: &mut StreamTree) -> Vec<(NodeId, TreeParent)> {
+    let mut merged = Vec::new();
+    for root in tree.cdn_fragment_roots() {
+        // An earlier fold in this pass may have displaced this root off
+        // the CDN already.
+        if tree.parent_of(root) != Some(TreeParent::Cdn) {
+            continue;
+        }
+        if let Some(parent) = tree.reposition_from_cdn(root) {
+            merged.push((root, parent));
+        }
+    }
+    merged
+}
+
 /// What a reference breadth-first scan would decide for one attach.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RefPlan {
@@ -258,8 +276,8 @@ proptest! {
 
     /// The prune/merge pass preserves every structural invariant and
     /// never strands a connected viewer: after arbitrary churn leaves a
-    /// forest of CDN-rooted fragments, repeated `merge_cdn_fragments`
-    /// passes keep the member set identical (check_invariants
+    /// forest of CDN-rooted fragments, repeated per-root prune passes
+    /// keep the member set identical (check_invariants
     /// re-verifies reachability from the roots, so identical membership
     /// means nobody is cut off), keep at least one CDN root in a
     /// non-empty tree, and converge — every pass that reports a change
@@ -292,7 +310,7 @@ proptest! {
         let mut passes = 0usize;
         loop {
             let root_count = tree.cdn_children().count();
-            let merged = tree.merge_cdn_fragments();
+            let merged = fold_cdn_fragments(&mut tree);
             prop_assert!(tree.check_invariants().is_ok(),
                 "{:?}", tree.check_invariants());
             let after: std::collections::BTreeSet<NodeId> = tree.members().collect();
@@ -449,7 +467,7 @@ fn golden_tree_hash(seed: u64, steps: usize, degrees: &[u32], caps: usize) -> u6
                 for root in tree.cdn_fragment_roots() {
                     fold(&mut hash, root.index() as u64);
                 }
-                for (root, parent) in tree.merge_cdn_fragments() {
+                for (root, parent) in fold_cdn_fragments(&mut tree) {
                     fold(&mut hash, root.index() as u64);
                     fold_parent(&mut hash, Some(parent));
                 }

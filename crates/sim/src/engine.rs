@@ -7,13 +7,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::hash::FxHashSet;
-
 use crate::time::{SimDuration, SimTime};
-
-/// Identifier of a scheduled event, usable to cancel it before it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(u64);
 
 /// An event returned by [`Engine::pop`]: the payload plus the instant it
 /// fired at.
@@ -21,8 +15,6 @@ pub struct EventId(u64);
 pub struct Fired<E> {
     /// The instant the event fired; equals [`Engine::now`] at pop time.
     pub at: SimTime,
-    /// Identifier the event was scheduled under.
-    pub id: EventId,
     /// The scheduled payload.
     pub payload: E,
 }
@@ -31,7 +23,6 @@ pub struct Fired<E> {
 struct Entry<E> {
     at: SimTime,
     seq: u64,
-    id: EventId,
     payload: E,
 }
 
@@ -69,20 +60,18 @@ impl<E> Ord for Entry<E> {
 /// use telecast_sim::{Engine, SimDuration, SimTime};
 ///
 /// let mut engine = Engine::new();
-/// let id = engine.schedule_at(SimTime::from_millis(10), "late");
+/// engine.schedule_at(SimTime::from_millis(10), "late");
 /// engine.schedule_at(SimTime::from_millis(5), "early");
-/// engine.cancel(id);
 ///
-/// let fired = engine.pop().expect("one event pending");
+/// let fired = engine.pop().expect("two events pending");
 /// assert_eq!(fired.payload, "early");
 /// assert_eq!(engine.now(), SimTime::from_millis(5));
-/// assert!(engine.pop().is_none());
+/// assert_eq!(engine.pending(), 1);
 /// ```
 #[derive(Debug)]
 pub struct Engine<E> {
     now: SimTime,
     heap: BinaryHeap<Entry<E>>,
-    cancelled: FxHashSet<EventId>,
     next_seq: u64,
     popped: u64,
     peak_pending: usize,
@@ -110,7 +99,6 @@ impl<E> Engine<E> {
         Engine {
             now: SimTime::ZERO,
             heap: BinaryHeap::with_capacity(capacity),
-            cancelled: FxHashSet::default(),
             next_seq: 0,
             popped: 0,
             peak_pending: 0,
@@ -127,22 +115,15 @@ impl<E> Engine<E> {
         self.popped
     }
 
-    /// Number of events still pending (including not-yet-reaped cancelled
-    /// ones; the count is an upper bound).
+    /// Number of events scheduled but not yet fired.
     pub fn pending(&self) -> usize {
         self.heap.len()
     }
 
-    /// Deepest the event heap has ever been — the queue-pressure figure a
-    /// capacity plan needs (includes not-yet-reaped cancelled entries).
+    /// Most events ever pending at once — the queue-pressure figure a
+    /// capacity plan needs.
     pub fn peak_pending(&self) -> usize {
         self.peak_pending
-    }
-
-    /// Whether no live events remain.
-    pub fn is_idle(&mut self) -> bool {
-        self.reap();
-        self.heap.is_empty()
     }
 
     /// Schedules `payload` to fire at absolute instant `at`.
@@ -150,60 +131,41 @@ impl<E> Engine<E> {
     /// Scheduling in the past is clamped to `now` (the event fires
     /// immediately on the next pop); this mirrors how control messages that
     /// "already arrived" are handled.
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, payload: E) {
         let at = at.max(self.now);
-        let id = EventId(self.next_seq);
         self.heap.push(Entry {
             at,
             seq: self.next_seq,
-            id,
             payload,
         });
         self.next_seq += 1;
         self.peak_pending = self.peak_pending.max(self.heap.len());
-        id
     }
 
     /// Schedules `payload` to fire `after` from now.
-    pub fn schedule_after(&mut self, after: SimDuration, payload: E) -> EventId {
+    pub fn schedule_after(&mut self, after: SimDuration, payload: E) {
         self.schedule_at(self.now + after, payload)
     }
 
-    /// Cancels a pending event. Returns `true` if the event had not yet
-    /// fired or been cancelled.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        self.cancelled.insert(id)
-    }
-
     /// Pops the earliest pending event, advancing the clock to its
-    /// timestamp. Returns `None` when no live events remain.
+    /// timestamp. Returns `None` when no events remain.
     pub fn pop(&mut self) -> Option<Fired<E>> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.id) {
-                continue;
-            }
-            debug_assert!(entry.at >= self.now, "time must be monotone");
-            self.now = entry.at;
-            self.popped += 1;
-            return Some(Fired {
-                at: entry.at,
-                id: entry.id,
-                payload: entry.payload,
-            });
-        }
-        None
+        let entry = self.heap.pop()?;
+        debug_assert!(entry.at >= self.now, "time must be monotone");
+        self.now = entry.at;
+        self.popped += 1;
+        Some(Fired {
+            at: entry.at,
+            payload: entry.payload,
+        })
     }
 
     /// Pops the earliest event only if it fires at or before `deadline`.
     ///
-    /// If the next live event is later than `deadline`, the clock advances
-    /// to `deadline` and `None` is returned — the idiom for "run the
-    /// session for X seconds".
+    /// If the next event is later than `deadline`, the clock advances to
+    /// `deadline` and `None` is returned — the idiom for "run the session
+    /// for X seconds".
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<Fired<E>> {
-        self.reap();
         match self.heap.peek() {
             Some(entry) if entry.at <= deadline => self.pop(),
             _ => {
@@ -215,22 +177,9 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Timestamp of the next live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.reap();
+    /// Timestamp of the next event, if any.
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
-    }
-
-    /// Drops cancelled entries sitting at the top of the heap.
-    fn reap(&mut self) {
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.id) {
-                let entry = self.heap.pop().expect("peeked entry exists");
-                self.cancelled.remove(&entry.id);
-            } else {
-                break;
-            }
-        }
     }
 }
 
@@ -283,23 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_firing() {
-        let mut engine = Engine::new();
-        let id = engine.schedule_at(SimTime::from_millis(1), "doomed");
-        engine.schedule_at(SimTime::from_millis(2), "survivor");
-        assert!(engine.cancel(id));
-        assert!(!engine.cancel(id), "double-cancel reports false");
-        let fired = engine.pop().expect("survivor fires");
-        assert_eq!(fired.payload, "survivor");
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_false() {
-        let mut engine: Engine<()> = Engine::new();
-        assert!(!engine.cancel(EventId(42)));
-    }
-
-    #[test]
     fn pop_until_respects_deadline() {
         let mut engine = Engine::new();
         engine.schedule_at(SimTime::from_millis(10), "early");
@@ -317,29 +249,15 @@ mod tests {
     }
 
     #[test]
-    fn is_idle_reaps_cancelled() {
-        let mut engine = Engine::new();
-        let id = engine.schedule_at(SimTime::from_millis(1), ());
-        engine.cancel(id);
-        assert!(engine.is_idle());
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut engine = Engine::new();
-        let id = engine.schedule_at(SimTime::from_millis(1), 1);
-        engine.schedule_at(SimTime::from_millis(2), 2);
-        engine.cancel(id);
-        assert_eq!(engine.peek_time(), Some(SimTime::from_millis(2)));
-    }
-
-    #[test]
     fn events_fired_counts_only_live() {
+        // Only events that actually fired count; pending ones do not.
         let mut engine = Engine::new();
-        let id = engine.schedule_at(SimTime::from_millis(1), ());
+        engine.schedule_at(SimTime::from_millis(1), ());
         engine.schedule_at(SimTime::from_millis(2), ());
-        engine.cancel(id);
-        while engine.pop().is_some() {}
+        assert!(engine.pop_until(SimTime::from_millis(1)).is_some());
         assert_eq!(engine.events_fired(), 1);
+        assert_eq!(engine.pending(), 1);
+        while engine.pop().is_some() {}
+        assert_eq!(engine.events_fired(), 2);
     }
 }

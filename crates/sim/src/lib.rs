@@ -34,7 +34,7 @@ mod shard;
 mod stats;
 mod time;
 
-pub use engine::{Engine, EventId, Fired};
+pub use engine::{Engine, Fired};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use parallel::{default_parallelism, parallel_map, parallel_map_with};
 pub use pool::WorkerPool;

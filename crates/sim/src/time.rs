@@ -85,11 +85,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference between two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -147,19 +142,6 @@ impl SimDuration {
     /// Saturating subtraction of spans.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Multiplies the span by a float factor, rounding to the nearest µs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "invalid factor: {factor}"
-        );
-        SimDuration((self.0 as f64 * factor).round() as u64)
     }
 }
 
@@ -320,17 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn checked_since_detects_order() {
-        let early = SimTime::from_millis(10);
-        let late = SimTime::from_millis(20);
-        assert_eq!(early.checked_since(late), None);
-        assert_eq!(
-            late.checked_since(early),
-            Some(SimDuration::from_millis(10))
-        );
-    }
-
-    #[test]
     fn duration_division_is_layer_arithmetic() {
         // Eq. 1 shape: floor((d - Δ) / τ) with dbuff=300ms, κ=2 → τ=150ms.
         let tau = SimDuration::from_millis(150);
@@ -338,13 +309,6 @@ mod tests {
         assert_eq!(SimDuration::from_millis(149) / tau, 0);
         assert_eq!(SimDuration::from_millis(150) / tau, 1);
         assert_eq!(SimDuration::from_millis(449) / tau, 2);
-    }
-
-    #[test]
-    fn mul_f64_rounds() {
-        let d = SimDuration::from_micros(3);
-        assert_eq!(d.mul_f64(0.5), SimDuration::from_micros(2)); // 1.5 → 2
-        assert_eq!(d.mul_f64(1.0), d);
     }
 
     #[test]

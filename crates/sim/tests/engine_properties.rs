@@ -1,8 +1,8 @@
 //! Property-based tests of the discrete-event engine: ordering, FIFO ties,
-//! cancellation, and clock monotonicity under arbitrary schedules.
+//! queue accounting, and clock monotonicity under arbitrary schedules.
 
 use proptest::prelude::*;
-use telecast_sim::{Engine, SimTime};
+use telecast_sim::{Engine, SimDuration, SimTime};
 
 proptest! {
     /// Events always fire in non-decreasing time order, whatever the
@@ -39,47 +39,42 @@ proptest! {
         }
     }
 
-    /// Cancelled events never fire; everything else does exactly once.
-    #[test]
-    fn cancellation_is_exact(
-        times in proptest::collection::vec(0u64..1_000, 1..100),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut engine = Engine::new();
-        let mut ids = Vec::new();
-        for (i, &t) in times.iter().enumerate() {
-            ids.push((i, engine.schedule_at(SimTime::from_micros(t), i)));
-        }
-        let mut cancelled = std::collections::HashSet::new();
-        for (&(i, id), &c) in ids.iter().zip(cancel_mask.iter()) {
-            if c {
-                engine.cancel(id);
-                cancelled.insert(i);
-            }
-        }
-        let mut seen = std::collections::HashSet::new();
-        while let Some(ev) = engine.pop() {
-            prop_assert!(!cancelled.contains(&ev.payload), "cancelled event fired");
-            prop_assert!(seen.insert(ev.payload), "event fired twice");
-        }
-        prop_assert_eq!(seen.len(), times.len() - cancelled.len());
-    }
-
     /// pop_until never yields an event beyond the deadline and always parks
-    /// the clock at exactly the deadline when it returns None.
+    /// the clock at exactly the deadline when it returns None. Popped events
+    /// may schedule a follow-up, so the queue grows and shrinks; after every
+    /// step `pending()` is exactly the events scheduled minus those popped,
+    /// `events_fired()` counts the pops, and `peak_pending()` is the running
+    /// maximum of `pending()`.
     #[test]
     fn pop_until_honours_deadline(
         times in proptest::collection::vec(0u64..2_000, 0..100),
+        follow_ups in proptest::collection::vec(0u64..500, 0..100),
         deadline in 0u64..2_000,
     ) {
         let mut engine = Engine::new();
+        let (mut scheduled, mut popped, mut peak) = (0usize, 0usize, 0usize);
         for &t in &times {
             engine.schedule_at(SimTime::from_micros(t), t);
+            scheduled += 1;
+            peak = peak.max(scheduled);
+            prop_assert_eq!(engine.pending(), scheduled);
+            prop_assert_eq!(engine.peak_pending(), peak);
         }
         let deadline = SimTime::from_micros(deadline);
         while let Some(ev) = engine.pop_until(deadline) {
             prop_assert!(ev.at <= deadline);
+            popped += 1;
+            prop_assert_eq!(engine.pending(), scheduled - popped);
+            prop_assert_eq!(engine.events_fired(), popped as u64);
+            if let Some(&gap) = follow_ups.get(popped - 1) {
+                engine.schedule_at(ev.at + SimDuration::from_micros(gap), gap);
+                scheduled += 1;
+                peak = peak.max(scheduled - popped);
+                prop_assert_eq!(engine.pending(), scheduled - popped);
+            }
+            prop_assert_eq!(engine.peak_pending(), peak);
         }
+        prop_assert_eq!(engine.pending(), scheduled - popped);
         prop_assert!(engine.now() >= deadline);
     }
 }

@@ -2,21 +2,24 @@
 //!
 //! Two remote dancers (producer sites) perform in a shared virtual
 //! space; a large audience tunes in with Zipf-skewed view popularity.
-//! The example also drops to the frame level for one viewer: a synthetic
-//! TEEVE trace feeds its buffer at the delays the overlay computed, and
+//! The example also drops to the frame level: synthetic TEEVE traces
+//! feed every viewer's buffer at the delays the overlay computed, and
 //! the renderer picks synchronised frames — demonstrating that the delay
-//! layers actually make 4D content renderable.
+//! layers actually make 4D content renderable. It exits non-zero if any
+//! viewer fails to render, or if nobody renders at all.
 //!
 //! ```sh
 //! cargo run --release -p telecast-apps --example collaborative_dancing
 //! ```
+
+use std::process::ExitCode;
 
 use telecast::{DataPlane, SessionConfig, TelecastSession};
 use telecast_media::{ArrivalModel, ViewChoice, ViewerWorkload};
 use telecast_net::BandwidthProfile;
 use telecast_sim::{SimDuration, SimRng, SimTime};
 
-fn main() {
+fn main() -> ExitCode {
     let config = SessionConfig::default()
         .with_outbound(BandwidthProfile::uniform_mbps(0, 12))
         .with_seed(2026);
@@ -82,4 +85,9 @@ fn main() {
         "frame-level check    : {} viewers rendered a synchronous 4D view, {} failed",
         report.rendered, report.failed
     );
+    if report.failed > 0 || report.rendered == 0 {
+        eprintln!("error: the frame-level check did not render every viewer");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

@@ -77,21 +77,6 @@ fn telecast_beats_random_on_acceptance() {
 }
 
 #[test]
-fn more_probes_narrow_the_random_gap() {
-    let one = run(random_dissemination(tight_config(2)), 120);
-    let many = run(
-        telecast_baselines::random_dissemination_with_probes(tight_config(2), 8),
-        120,
-    );
-    assert!(
-        many.acceptance >= one.acceptance,
-        "more probes cannot hurt: {} vs {}",
-        many.acceptance,
-        one.acceptance
-    );
-}
-
-#[test]
 fn push_down_grants_incentive_depths() {
     // The paper's Overlay Property: viewers engaging more outbound
     // bandwidth end up closer to the root (lower delay) — the incentive

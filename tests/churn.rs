@@ -1,13 +1,9 @@
 //! Cross-crate churn-runtime guarantees: the storm scenario's JSON
-//! export is byte-identical for equal seeds, outcomes do not depend on
-//! the executor's thread count, and the media-layer workload bridge
-//! drives the same spec through the scripted path.
+//! export is byte-identical for equal seeds, and outcomes do not depend
+//! on the executor's thread count.
 
-use telecast::{SessionConfig, TelecastSession};
 use telecast_bench::{run_churn, ChurnPreset, ChurnScenario};
-use telecast_media::ChurnSpec;
-use telecast_net::BandwidthProfile;
-use telecast_sim::{parallel_map_with, SimRng, SimTime};
+use telecast_sim::parallel_map_with;
 
 fn small_scenario(seed: u64) -> ChurnScenario {
     ChurnScenario {
@@ -40,38 +36,4 @@ fn churn_outcomes_are_thread_count_independent() {
     let serial = parallel_map_with(scenarios.clone(), 1, |s| run_churn(&s).figure.to_json());
     let parallel = parallel_map_with(scenarios, 4, |s| run_churn(&s).figure.to_json());
     assert_eq!(serial, parallel);
-}
-
-/// The media-layer bridge: the same [`ChurnSpec`] scripted into a finite
-/// [`telecast_media::ViewerWorkload`] drives the session's batch path,
-/// sustains an audience, and stays seed-deterministic.
-#[test]
-fn scripted_churn_bridge_drives_the_session() {
-    let run = |seed: u64| {
-        let config = SessionConfig::default()
-            .with_outbound(BandwidthProfile::uniform_mbps(0, 12))
-            .with_seed(seed);
-        let mut session = TelecastSession::builder(config).viewers(150).build();
-        let spec = ChurnSpec::steady_state(150, 0.2);
-        let mut rng = SimRng::seed_from_u64(seed ^ 0x5EED);
-        let workload = spec.to_workload(
-            150,
-            session.catalog().len(),
-            SimTime::from_secs(240),
-            &mut rng,
-        );
-        assert!(
-            !workload.events().is_empty(),
-            "bridge scripted no events before the horizon"
-        );
-        session.run_workload(&workload);
-        (
-            session.metrics().admitted_viewers.value(),
-            session.metrics().victims.value(),
-            session.cdn().outbound().used().as_kbps(),
-        )
-    };
-    let a = run(4);
-    assert_eq!(a, run(4));
-    assert!(a.0 > 0, "scripted churn admitted nobody");
 }

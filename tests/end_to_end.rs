@@ -1,40 +1,17 @@
-//! End-to-end integration: producer traces → CDN ingest → overlay
-//! placement → viewer buffers → synchronous rendering, across crates.
+//! End-to-end integration: producer traces → overlay placement → viewer
+//! buffers → synchronous rendering, across crates.
 
 use std::collections::BTreeMap;
 
 use telecast::{SessionConfig, TelecastSession, ViewerBuffer, ViewerStatus};
 use telecast_baselines::random_dissemination;
-use telecast_cdn::{CdnConfig, Distribution};
+use telecast_cdn::CdnConfig;
 use telecast_media::{
     ChurnSpec, ProducerSite, SiteId, SyntheticTeeveTrace, TeeveStreamConfig, ViewCatalog, ViewId,
 };
 use telecast_net::{Bandwidth, BandwidthProfile, NodeId};
 use telecast_overlay::{SessionRoutingTable, SubscriptionPoint, TreeParent};
 use telecast_sim::{SimDuration, SimTime};
-
-#[test]
-fn producers_feed_cdn_distribution_storage() {
-    let [site_a, site_b] = ProducerSite::teeve_pair();
-    let mut distribution = Distribution::new(600);
-    for site in [&site_a, &site_b] {
-        for stream in site.streams() {
-            let mut trace =
-                SyntheticTeeveTrace::new(stream.id, TeeveStreamConfig::for_stream(stream), 1);
-            for frame in trace.frames_until(SimTime::from_secs(10)) {
-                distribution.ingest(frame);
-            }
-        }
-    }
-    assert_eq!(distribution.stream_count(), 16);
-    for site in [&site_a, &site_b] {
-        for stream in site.streams() {
-            let stats = distribution.stats(stream.id).expect("ingested");
-            assert_eq!(stats.frames, 100); // 10 fps × 10 s
-            assert_eq!(stats.latest_frame.value(), 99);
-        }
-    }
-}
 
 #[test]
 fn full_session_pipeline_renders_synchronously() {
